@@ -10,20 +10,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
-from pathlib import Path
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import analytic, flowgraph, optimizer, simulator
 from .analytic import SystemConfig
-from .config import RunConfig, load_run_config
-from .distributions import distribution_from_config
+from .config import RunConfig, SimulationSettings, load_run_config
+from .distributions import CONFIG_FIELDS, ServiceDistribution, distribution_from_config
 from .errors import (
     AoiError,
+    ConditioningTooRareError,
     ConfigError,
     DivergenceError,
+    InsufficientDataError,
     InvariantViolationError,
     ParameterDomainError,
     PoleError,
@@ -35,17 +39,21 @@ EXIT_DOMAIN = 3
 EXIT_REPLICATION = 4
 EXIT_VALIDATION = 5
 
-_ANALYZE_COLUMNS = (
-    "stream",
-    "lambda_i",
-    "p_i",
-    "avg_age",
-    "peak_age",
-    "mean_T",
-    "mean_Y",
-    "mean_Y2",
-    "delivery_rate",
+# The per-stream metric set, in output order: field of analytic.StreamMetrics
+# and simulator.StreamStats -> output column. Simulated rows carry a
+# "<column>_se" standard error beside each value.
+_METRICS = (
+    ("avg_age", "avg_age"),
+    ("peak_age", "peak_age"),
+    ("mean_system_time", "mean_T"),
+    ("mean_interdeparture", "mean_Y"),
+    ("second_moment_interdeparture", "mean_Y2"),
+    ("delivery_rate", "delivery_rate"),
 )
+_COLUMNS = tuple(column for _, column in _METRICS)
+_COLUMNS_SE = tuple(name for column in _COLUMNS for name in (column, column + "_se"))
+_metric_values = operator.attrgetter(*(field for field, _ in _METRICS))
+_metric_values_se = operator.attrgetter(*(name for field, _ in _METRICS for name in (field, field + "_se")))
 
 
 def _fmt(value) -> str:
@@ -57,21 +65,35 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a unique temp file in the same directory, then rename."""
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _emit_table(rows: list[dict], columns: tuple[str, ...], out) -> None:
-    """Write rows as CSV (6 significant digits) or JSON (full precision)."""
+def _emit_table(rows: list[dict], out) -> None:
+    """Write rows as CSV (6 significant digits) or JSON (full precision).
+
+    The columns are the first row's keys; every row has the same keys in the
+    same order.
+    """
+    columns = list(rows[0])
     if out.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
+            lines.append(",".join(map(_fmt, row.values())))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({"columns": list(columns), "rows": rows}, indent=2) + "\n"
+        text = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
     if out.path:
         _atomic_write(out.path, text)
     else:
@@ -80,55 +102,46 @@ def _emit_table(rows: list[dict], columns: tuple[str, ...], out) -> None:
 
 def _analyze_rows(cfg: SystemConfig) -> list[dict]:
     report = analytic.age_report(cfg)
-    rows = []
-    for s in report.streams:
-        rows.append(
-            {
-                "stream": s.stream,
-                "lambda_i": s.rate,
-                "p_i": s.prob,
-                "avg_age": s.avg_age,
-                "peak_age": s.peak_age,
-                "mean_T": s.mean_system_time,
-                "mean_Y": s.mean_interdeparture,
-                "mean_Y2": s.second_moment_interdeparture,
-                "delivery_rate": s.delivery_rate,
-            }
-        )
-    rows.append(
-        {
-            "stream": "total",
-            "lambda_i": cfg.total_rate,
-            "p_i": 1.0,
-            "avg_age": report.total_avg_age,
-            "peak_age": report.total_peak_age,
-            "mean_T": report.streams[0].mean_system_time,
-            "mean_Y": None,
-            "mean_Y2": None,
-            "delivery_rate": math.fsum(s.delivery_rate for s in report.streams),
-        }
+    total = SimpleNamespace(
+        stream="total",
+        rate=cfg.total_rate,
+        prob=1.0,
+        avg_age=report.total_avg_age,
+        peak_age=report.total_peak_age,
+        mean_system_time=report.streams[0].mean_system_time,
+        mean_interdeparture=None,
+        second_moment_interdeparture=None,
+        delivery_rate=math.fsum(s.delivery_rate for s in report.streams),
     )
+    rows = []
+    for s in (*report.streams, total):
+        row = {"stream": s.stream, "lambda_i": s.rate, "p_i": s.prob}
+        row.update(zip(_COLUMNS, _metric_values(s)))
+        rows.append(row)
     return rows
 
 
 def cmd_analyze(run_cfg: RunConfig) -> int:
-    _emit_table(_analyze_rows(run_cfg.system), _ANALYZE_COLUMNS, run_cfg.output)
+    _emit_table(_analyze_rows(run_cfg.system), run_cfg.output)
     return 0
 
 
-def _sim_params(run_cfg: RunConfig, seed_override: int | None) -> simulator.SimParams:
-    sim = run_cfg.simulation
+def _sim_params(
+    system: SystemConfig,
+    sim: SimulationSettings | None,
+    seed_override: int | None,
+    probes: tuple[float, ...] = (),
+) -> simulator.SimParams:
     if sim is None:
         raise ConfigError("this command requires a 'simulation' section in the config")
-    seed = seed_override if seed_override is not None else sim.seed
     return simulator.SimParams(
-        cfg=run_cfg.system,
+        cfg=system,
         max_time=sim.max_time,
         min_deliveries_per_stream=sim.min_deliveries_per_stream,
-        seed=seed,
+        seed=seed_override if seed_override is not None else sim.seed,
         warmup_fraction=sim.warmup_fraction,
         replications=sim.replications,
-        mgf_probes=run_cfg.mgf_s_values,
+        mgf_probes=probes,
     )
 
 
@@ -136,53 +149,16 @@ def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[dict
     report = analytic.age_report(run_cfg.system)
     rows = []
     for s, ref in zip(result.streams, report.streams):
-        rows.append(
-            {
-                "stream": s.stream,
-                "lambda_i": ref.rate,
-                "p_i": ref.prob,
-                "avg_age": s.avg_age,
-                "avg_age_se": s.avg_age_se,
-                "peak_age": s.avg_peak,
-                "peak_age_se": s.avg_peak_se,
-                "mean_T": s.mean_system_time,
-                "mean_T_se": s.mean_system_time_se,
-                "mean_Y": s.mean_interdeparture,
-                "mean_Y_se": s.mean_interdeparture_se,
-                "mean_Y2": s.second_moment_interdeparture,
-                "mean_Y2_se": s.second_moment_interdeparture_se,
-                "delivery_rate": s.delivery_rate,
-                "delivery_rate_se": s.delivery_rate_se,
-                "ref_avg_age": ref.avg_age,
-                "ref_peak_age": ref.peak_age,
-            }
-        )
+        row = {"stream": s.stream, "lambda_i": ref.rate, "p_i": ref.prob}
+        row.update(zip(_COLUMNS_SE, _metric_values_se(s)))
+        row["ref_avg_age"] = ref.avg_age
+        row["ref_peak_age"] = ref.peak_age
+        rows.append(row)
     return rows
 
 
-_SIMULATE_COLUMNS = (
-    "stream",
-    "lambda_i",
-    "p_i",
-    "avg_age",
-    "avg_age_se",
-    "peak_age",
-    "peak_age_se",
-    "mean_T",
-    "mean_T_se",
-    "mean_Y",
-    "mean_Y_se",
-    "mean_Y2",
-    "mean_Y2_se",
-    "delivery_rate",
-    "delivery_rate_se",
-    "ref_avg_age",
-    "ref_peak_age",
-)
-
-
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
-    params = _sim_params(run_cfg, seed_override)
+    params = _sim_params(run_cfg.system, run_cfg.simulation, seed_override, run_cfg.mgf_s_values)
     trace_path = trace_path or run_cfg.output.trace_path
     try:
         result = simulator.run(params, collect_trace=trace_path is not None)
@@ -191,7 +167,7 @@ def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str 
     except Exception as exc:  # a failed replication is its own exit code
         print(f"replication failed: {exc}", file=sys.stderr)
         return EXIT_REPLICATION
-    _emit_table(_simulate_rows(run_cfg, result), _SIMULATE_COLUMNS, run_cfg.output)
+    _emit_table(_simulate_rows(run_cfg, result), run_cfg.output)
     if trace_path is not None:
         lines = ["time,kind,stream,generation_time"]
         for ev in result.trace:
@@ -268,28 +244,10 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None, expect: dict[
     # dual-route self-check built into age_report
     try:
         analytic.age_report(cfg)
-        checks.append(
-            {
-                "name": "dual_route_decomposition",
-                "observed": 0.0,
-                "expected": 0.0,
-                "delta": 0.0,
-                "tolerance": 1e-9,
-                "passed": True,
-            }
-        )
+        add("dual_route_decomposition", 0.0, 0.0, 1e-9)
     except InvariantViolationError as exc:
-        checks.append(
-            {
-                "name": "dual_route_decomposition",
-                "observed": math.nan,
-                "expected": 0.0,
-                "delta": math.inf,
-                "tolerance": 1e-9,
-                "passed": False,
-                "detail": str(exc),
-            }
-        )
+        add("dual_route_decomposition", math.nan, 0.0, 1e-9)
+        checks[-1].update(delta=math.inf, detail=str(exc))
 
     # Monte Carlo conditional clocks vs closed-form MGFs (5 sigma)
     sim_settings = run_cfg.simulation
@@ -312,7 +270,7 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None, expect: dict[
 
     # simulation vs analytic ages, delivery rates, renewal identity, MGF probes
     if sim_settings is not None:
-        params = _sim_params(run_cfg, seed_override)
+        params = _sim_params(cfg, sim_settings, seed_override, run_cfg.mgf_s_values)
         result = simulator.run(params)
         report = analytic.age_report(cfg)
         p_lam = cfg.service_beats_arrival()
@@ -329,9 +287,9 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None, expect: dict[
             )
             add(
                 f"sim_peak_age[i={i}]",
-                s_stats.avg_peak,
+                s_stats.peak_age,
                 exp_peak,
-                0.015 * abs(exp_peak) + 4.0 * s_stats.avg_peak_se,
+                0.015 * abs(exp_peak) + 4.0 * s_stats.peak_age_se,
             )
             rate_ref = cfg.stream_rate(i) * p_lam
             add(
@@ -371,23 +329,19 @@ def cmd_validate(run_cfg: RunConfig, seed_override: int | None, expect: dict[str
     return EXIT_VALIDATION if n_fail else 0
 
 
-_SERVICE_FLAGS = {
-    "exponential": ("service_rate",),
-    "gamma": ("shape", "scale"),
-    "deterministic": ("value",),
-    "uniform": ("lower", "upper"),
-}
+def _service_dest(field: str) -> str:
+    """The optimize flag of a service-law field: --rate is the arrival rate."""
+    return "service_rate" if field == "rate" else field
 
 
-def _dist_from_flags(args) -> "distribution_from_config":
+def _dist_from_flags(args) -> ServiceDistribution:
     kind = args.service
-    needed = _SERVICE_FLAGS[kind]
     spec = {"type": kind}
-    for flag in needed:
-        val = getattr(args, flag)
+    for field in CONFIG_FIELDS[kind]:
+        val = getattr(args, _service_dest(field))
         if val is None:
-            raise ConfigError(f"--service {kind} requires --{flag.replace('_', '-')}")
-        spec["rate" if flag == "service_rate" else flag] = val
+            raise ConfigError(f"--service {kind} requires --{_service_dest(field).replace('_', '-')}")
+        spec[field] = val
     return distribution_from_config(spec)
 
 
@@ -409,22 +363,6 @@ def cmd_optimize(args) -> int:
     }
     print(json.dumps(payload, indent=2))
     return 0
-
-
-_SWEEP_COLUMNS = (
-    "param",
-    "value",
-    "stream",
-    "source",
-    "avg_age",
-    "peak_age",
-    "mean_T",
-    "mean_Y",
-    "mean_Y2",
-    "delivery_rate",
-    "delta_tot",
-    "delta_peak_tot",
-)
 
 
 def _sweep_config(base: SystemConfig, param: str, value: float) -> SystemConfig:
@@ -461,49 +399,18 @@ def cmd_sweep(run_cfg: RunConfig, param: str, grid: list[float], with_sim: bool,
     for value in grid:
         cfg = _sweep_config(run_cfg.system, param, value)
         report = analytic.age_report(cfg)
-        for s in report.streams:
-            rows.append(
-                {
-                    "param": param,
-                    "value": value,
-                    "stream": s.stream,
-                    "source": "analytic",
-                    "avg_age": s.avg_age,
-                    "peak_age": s.peak_age,
-                    "mean_T": s.mean_system_time,
-                    "mean_Y": s.mean_interdeparture,
-                    "mean_Y2": s.second_moment_interdeparture,
-                    "delivery_rate": s.delivery_rate,
-                    "delta_tot": report.total_avg_age,
-                    "delta_peak_tot": report.total_peak_age,
-                }
-            )
+        sources = [("analytic", report.streams, report.total_avg_age, report.total_peak_age)]
         if with_sim:
-            swept = RunConfig(
-                system=cfg,
-                simulation=run_cfg.simulation,
-                mgf_s_values=(),
-                output=run_cfg.output,
-            )
-            result = simulator.run(_sim_params(swept, seed_override))
-            for s in result.streams:
-                rows.append(
-                    {
-                        "param": param,
-                        "value": value,
-                        "stream": s.stream,
-                        "source": "simulated",
-                        "avg_age": s.avg_age,
-                        "peak_age": s.avg_peak,
-                        "mean_T": s.mean_system_time,
-                        "mean_Y": s.mean_interdeparture,
-                        "mean_Y2": s.second_moment_interdeparture,
-                        "delivery_rate": s.delivery_rate,
-                        "delta_tot": None,
-                        "delta_peak_tot": None,
-                    }
-                )
-    _emit_table(rows, _SWEEP_COLUMNS, run_cfg.output)
+            result = simulator.run(_sim_params(cfg, run_cfg.simulation, seed_override))
+            sources.append(("simulated", result.streams, None, None))
+        for source, streams, delta_tot, delta_peak_tot in sources:
+            for s in streams:
+                row = {"param": param, "value": value, "stream": s.stream, "source": source}
+                row.update(zip(_COLUMNS, _metric_values(s)))
+                row["delta_tot"] = delta_tot
+                row["delta_peak_tot"] = delta_peak_tot
+                rows.append(row)
+    _emit_table(rows, run_cfg.output)
     return 0
 
 
@@ -535,13 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize")
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--streams", type=int, required=True)
-    p.add_argument("--service", required=True, choices=sorted(_SERVICE_FLAGS))
-    p.add_argument("--service-rate", dest="service_rate", type=float, default=None)
-    p.add_argument("--shape", type=float, default=None)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--value", type=float, default=None)
-    p.add_argument("--lower", type=float, default=None)
-    p.add_argument("--upper", type=float, default=None)
+    p.add_argument("--service", required=True, choices=sorted(CONFIG_FIELDS))
+    for field in dict.fromkeys(f for fields in CONFIG_FIELDS.values() for f in fields):
+        dest = _service_dest(field)
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=float, default=None)
     p.add_argument("--points", type=int, default=1000, help="random simplex points to verify")
     return parser
 
@@ -577,9 +481,19 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParameterDomainError, PoleError, SingularSystemError, DivergenceError, IndexError) as exc:
+    except (
+        ParameterDomainError,
+        PoleError,
+        SingularSystemError,
+        DivergenceError,
+        ConditioningTooRareError,
+        IndexError,
+    ) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except InsufficientDataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_REPLICATION
     except InvariantViolationError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -21,6 +21,7 @@ __all__ = [
     "Gamma",
     "Deterministic",
     "Uniform",
+    "CONFIG_FIELDS",
     "distribution_from_config",
 ]
 
@@ -195,7 +196,8 @@ class Uniform(ServiceDistribution):
         return {"type": "uniform", "lower": self.lower, "upper": self.upper}
 
 
-_CONFIG_FIELDS = {
+# The config fields of each service law, in constructor order.
+CONFIG_FIELDS = {
     "exponential": ("rate",),
     "gamma": ("shape", "scale"),
     "deterministic": ("value",),
@@ -219,9 +221,9 @@ def distribution_from_config(spec: dict) -> ServiceDistribution:
     if not isinstance(spec, dict):
         raise ConfigError(f"service spec must be an object, got {type(spec).__name__}")
     kind = spec.get("type")
-    if kind not in _CONFIG_FIELDS:
-        raise ConfigError(f"unknown service type {kind!r}; expected one of {sorted(_CONFIG_FIELDS)}")
-    fields = _CONFIG_FIELDS[kind]
+    if kind not in CONFIG_FIELDS:
+        raise ConfigError(f"unknown service type {kind!r}; expected one of {sorted(CONFIG_FIELDS)}")
+    fields = CONFIG_FIELDS[kind]
     extra = set(spec) - {"type", *fields}
     if extra:
         raise ConfigError(f"unknown field(s) {sorted(extra)} in service spec of type {kind!r}")

@@ -94,8 +94,6 @@ class PerStreamTally:
     t_sum: float
     ys: np.ndarray = field(repr=False)
     system_times: np.ndarray = field(repr=False)
-    last_delivery_time: float
-    last_delivered_generation_time: float
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,8 @@ class StreamStats:
     deliveries: int
     avg_age: float
     avg_age_se: float
-    avg_peak: float
-    avg_peak_se: float
+    peak_age: float
+    peak_age_se: float
     mean_system_time: float
     mean_system_time_se: float
     mean_interdeparture: float
@@ -231,8 +229,6 @@ def _simulate_replication(
                 t_sum=float(svc[kept].sum()),
                 ys=ys,
                 system_times=svc[kept],
-                last_delivery_time=last_td,
-                last_delivered_generation_time=last_gen,
             )
         )
 
@@ -261,18 +257,27 @@ def _horizon_for_count(cfg: SystemConfig, n_deliveries: int, warmup_fraction: fl
     return 1.3 * n_deliveries * slowest / (1.0 - warmup_fraction)
 
 
-def _tally_metrics(t: PerStreamTally, probes: tuple[float, ...]) -> dict:
-    out = {
+def _tally_metrics(t: PerStreamTally) -> dict[str, float]:
+    """One replication's estimate of each StreamStats metric, by field name."""
+    return {
         "avg_age": t.age_area / t.elapsed,
-        "avg_peak": t.peaks_sum / t.peaks_count if t.peaks_count else math.nan,
+        "peak_age": t.peaks_sum / t.peaks_count if t.peaks_count else math.nan,
         "mean_system_time": t.t_sum / t.deliveries if t.deliveries else math.nan,
         "mean_interdeparture": t.y_sum / t.peaks_count if t.peaks_count else math.nan,
         "second_moment_interdeparture": t.y2_sum / t.peaks_count if t.peaks_count else math.nan,
         "delivery_rate": t.deliveries / t.elapsed,
     }
-    for s in probes:
-        out[("probe", s)] = float(np.mean(np.exp(s * t.ys))) if len(t.ys) else math.nan
-    return out
+
+
+def _probe_mean(t: PerStreamTally, s: float) -> float:
+    return float(np.mean(np.exp(s * t.ys))) if len(t.ys) else math.nan
+
+
+def _mean_se(values: list[float]) -> tuple[float, float]:
+    """Mean across replications, with its standard error (0 for one replication)."""
+    vals = np.array(values)
+    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return float(vals.mean()), se
 
 
 def run(params: SimParams, collect_trace: bool = False) -> SimResult:
@@ -319,32 +324,16 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
 
     streams = []
     for j in range(cfg.num_streams):
-        per_rep = [_tally_metrics(all_tallies[r][j], params.mgf_probes) for r in range(reps)]
-
-        def agg(key):
-            vals = np.array([m[key] for m in per_rep])
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-            return mean, se
-
-        probe_stats = {s: agg(("probe", s)) for s in params.mgf_probes}
+        per_stream = [all_tallies[r][j] for r in range(reps)]
+        per_rep = [_tally_metrics(t) for t in per_stream]
         kwargs = {}
-        for name in (
-            "avg_age",
-            "avg_peak",
-            "mean_system_time",
-            "mean_interdeparture",
-            "second_moment_interdeparture",
-            "delivery_rate",
-        ):
-            mean, se = agg(name)
-            kwargs[name] = mean
-            kwargs[name + "_se"] = se
+        for name in per_rep[0]:
+            kwargs[name], kwargs[name + "_se"] = _mean_se([m[name] for m in per_rep])
         streams.append(
             StreamStats(
                 stream=j + 1,
-                deliveries=sum(all_tallies[r][j].deliveries for r in range(reps)),
-                mgf_probes=probe_stats,
+                deliveries=sum(t.deliveries for t in per_stream),
+                mgf_probes={s: _mean_se([_probe_mean(t, s) for t in per_stream]) for s in params.mgf_probes},
                 **kwargs,
             )
         )

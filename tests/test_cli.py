@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from aoi_mg11 import cli
 from aoi_mg11.cli import main
+from aoi_mg11.errors import InsufficientDataError
 
 REF_SYSTEM = {
     "total_rate": 1.5,
@@ -218,6 +220,31 @@ class TestValidate:
         assert main(["validate", "-c", cfg]) == 2
         assert "mgf_s_values" in capsys.readouterr().err
 
+    def test_rare_conditioning_is_domain_error(self, tmp_path, capsys):
+        # service almost never beats an arrival, so the clock U sampler
+        # accepts no draws
+        cfg = write_config(
+            tmp_path,
+            system={
+                "total_rate": 1.5,
+                "stream_probs": [0.5, 0.5],
+                "service": {"type": "deterministic", "value": 9.2},
+            },
+        )
+        assert main(["validate", "-c", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "domain error: clock U" in err
+        assert "Traceback" not in err
+
+
+def test_insufficient_data_exit_code(tmp_path, monkeypatch, capsys):
+    def no_data(cfg):
+        raise InsufficientDataError("need at least 2 interdeparture gaps, have 0")
+
+    monkeypatch.setattr(cli.analytic, "age_report", no_data)
+    assert main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM)]) == 4
+    assert "data error" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_reference(self, capsys):
@@ -338,6 +365,61 @@ class TestSweep:
         assert {r["source"] for r in rows} == {"analytic", "simulated"}
 
 
+METRIC_COLUMNS = ("avg_age", "peak_age", "mean_T", "mean_Y", "mean_Y2", "delivery_rate")
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["analyze"], ("stream", "lambda_i", "p_i") + METRIC_COLUMNS),
+        (
+            ["simulate"],
+            (
+                "stream",
+                "lambda_i",
+                "p_i",
+                "avg_age",
+                "avg_age_se",
+                "peak_age",
+                "peak_age_se",
+                "mean_T",
+                "mean_T_se",
+                "mean_Y",
+                "mean_Y_se",
+                "mean_Y2",
+                "mean_Y2_se",
+                "delivery_rate",
+                "delivery_rate_se",
+                "ref_avg_age",
+                "ref_peak_age",
+            ),
+        ),
+        (
+            ["sweep", "--param", "p1", "--grid", "0.3,0.5", "--with-sim"],
+            ("param", "value", "stream", "source") + METRIC_COLUMNS + ("delta_tot", "delta_peak_tot"),
+        ),
+    ],
+    ids=["analyze", "simulate", "sweep"],
+)
+def test_column_contract(tmp_path, argv, columns):
+    def run(fmt):
+        out = tmp_path / f"out.{fmt}"
+        cfg = write_config(
+            tmp_path,
+            name=f"{fmt}.json",
+            system=REF_SYSTEM,
+            simulation={"max_time": 2e3, "seed": 3, "replications": 2},
+            output={"format": fmt, "path": str(out)},
+        )
+        assert main([argv[0], "-c", cfg, *argv[1:]]) == 0
+        return out.read_text()
+
+    assert tuple(run("csv").splitlines()[0].split(",")) == columns
+    data = json.loads(run("json"))
+    assert tuple(data["columns"]) == columns
+    assert all(tuple(row) == columns for row in data["rows"])
+
+
 class TestAtomicWrites:
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -352,3 +434,22 @@ class TestAtomicWrites:
         )
         assert main(["analyze", "-c", cfg]) == 2
         assert not out.exists()
+
+    def test_foreign_temp_file_untouched(self, tmp_path):
+        out = tmp_path / "report.csv"
+        foreign = tmp_path / "report.csv.tmp"
+        foreign.write_text("another run's output")
+        cfg = write_config(tmp_path, system=REF_SYSTEM, output={"path": str(out)})
+        assert main(["analyze", "-c", cfg]) == 0
+        assert out.read_text().startswith("stream,")
+        assert foreign.read_text() == "another run's output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv", "report.csv.tmp"]
+
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            cli._atomic_write(str(tmp_path / "report.csv"), "a,b\n")
+        assert list(tmp_path.iterdir()) == []
