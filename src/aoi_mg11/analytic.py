@@ -102,7 +102,8 @@ def interdeparture_mgf(cfg: SystemConfig, i: int, s: float) -> float:
     """MGF of the gap between consecutive deliveries of stream i."""
     num = cfg.stream_rate(i) * cfg.service.laplace(cfg.total_rate - s)
     den = num - s
-    if abs(den) < 1e-12:
+    # relative to the operands: at heavy load num is tiny but exact
+    if abs(den) <= 1e-12 * max(abs(num), abs(s)):
         raise PoleError(f"interdeparture MGF pole near s={s}")
     return num / den
 

@@ -14,6 +14,7 @@ import operator
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,6 @@ from .analytic import SystemConfig
 from .config import RunConfig, SimulationSettings, load_run_config
 from .distributions import CONFIG_FIELDS, ServiceDistribution, distribution_from_config
 from .errors import (
-    AoiError,
     ConditioningTooRareError,
     ConfigError,
     DivergenceError,
@@ -64,13 +64,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a unique temp file in the same directory, then rename."""
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks through a unique temp file in the same directory, then rename."""
     directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or ".")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
@@ -95,7 +98,7 @@ def _emit_table(rows: list[dict], out) -> None:
     else:
         text = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
     if out.path:
-        _atomic_write(out.path, text)
+        _atomic_write(out.path, (text,))
     else:
         sys.stdout.write(text)
 
@@ -160,20 +163,41 @@ def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[dict
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
     params = _sim_params(run_cfg.system, run_cfg.simulation, seed_override, run_cfg.mgf_s_values)
     trace_path = trace_path or run_cfg.output.trace_path
-    try:
-        result = simulator.run(params, collect_trace=trace_path is not None)
-    except AoiError:
-        raise
-    except Exception as exc:  # a failed replication is its own exit code
-        print(f"replication failed: {exc}", file=sys.stderr)
-        return EXIT_REPLICATION
+    result = simulator.run(params, collect_trace=trace_path is not None)
     _emit_table(_simulate_rows(run_cfg, result), run_cfg.output)
     if trace_path is not None:
-        lines = ["time,kind,stream,generation_time"]
-        for ev in result.trace:
-            lines.append(f"{ev.time!r},{ev.kind},{ev.stream},{ev.generation_time!r}")
-        _atomic_write(trace_path, "\n".join(lines) + "\n")
+        _atomic_write(trace_path, _trace_chunks(result.trace))
     return 0
+
+
+# Trace rows formatted per block; it bounds the text held in memory.
+_TRACE_ROWS = 1 << 14
+
+
+def _trace_chunks(trace) -> Iterator[str]:
+    """The trace CSV, a block of rows at a time, with times in full repr.
+
+    Formatting a float is the cost here. Every generation time, and the time
+    of every arrival and preemption, is an arrival time, so a block formats
+    the arrivals it refers to once, plus its delivery times.
+    """
+    yield "time,kind,stream,generation_time\n"
+    time, kind, stream, gen = trace
+    arrivals = time[kind == simulator.TRACE_KINDS.index("arrival")]
+    delivery = simulator.TRACE_KINDS.index("delivery")
+    # the ",kind,stream," middle of a row, by kind * n + stream
+    n = int(stream.max(initial=0)) + 1
+    middle = [f",{name},{s}," for name in simulator.TRACE_KINDS for s in range(n)]
+    for lo in range(0, len(time), _TRACE_ROWS):
+        t, k, s, g = (column[lo : lo + _TRACE_ROWS] for column in trace)
+        # the arrivals from the block's earliest generation time to its end
+        known = arrivals[np.searchsorted(arrivals, g.min()) : np.searchsorted(arrivals, t.max(), "right")]
+        is_delivery = k == delivery
+        text = [*map(repr, known.tolist()), *map(repr, t[is_delivery].tolist())]
+        t_at = np.where(is_delivery, len(known) + np.cumsum(is_delivery) - 1, np.searchsorted(known, t))
+        g_at = np.searchsorted(known, g)
+        mid = k.astype(np.intp) * n + s
+        yield "".join([f"{text[i]}{middle[c]}{text[j]}\n" for i, c, j in zip(t_at.tolist(), mid.tolist(), g_at.tolist())])
 
 
 def _parse_expect(pairs: list[str]) -> dict[str, float]:
@@ -325,7 +349,7 @@ def cmd_validate(run_cfg: RunConfig, seed_override: int | None, expect: dict[str
     n_fail = sum(1 for c in checks if not c["passed"])
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
     if run_cfg.output.path:
-        _atomic_write(run_cfg.output.path, json.dumps({"checks": checks}, indent=2) + "\n")
+        _atomic_write(run_cfg.output.path, (json.dumps({"checks": checks}, indent=2) + "\n",))
     return EXIT_VALIDATION if n_fail else 0
 
 

@@ -142,8 +142,10 @@ def transfer_function(w: EdgeWeights, pr: ClockProbabilities) -> float:
     a, b, u, v, z = pr.a, pr.b, pr.u, pr.v, pr.z
     d1, d2, d3, d4, d5 = w.d1, w.d2, w.d3, w.d4, w.d5
     num = u * d3 * (b * d2 * z * d5 + a * d1 - a * d1 * v * d4)
-    den = (1.0 - b * d2) * (1.0 - u * d3 * z * d5) - v * d4 * (1.0 + u * d3 * a * d1)
-    if abs(den) < 1e-12:
+    left, right = (1.0 - b * d2) * (1.0 - u * d3 * z * d5), v * d4 * (1.0 + u * d3 * a * d1)
+    den = left - right
+    # relative to the two terms: below this, den is mostly their rounding error
+    if abs(den) <= 1e-12 * max(abs(left), abs(right)):
         raise PoleError(f"transfer function denominator {den!r} too close to 0")
     return num / den
 

@@ -3,8 +3,11 @@
 Because every arrival evicts whatever is in service, the sample path has a
 closed recursive structure: arrival k is delivered iff its service duration
 ends before arrival k+1 (ties, probability zero, resolve as delivery). That
-lets a whole replication be computed with vectorized numpy instead of an
-event-by-event loop, with identical semantics.
+lets a replication be computed with vectorized numpy instead of an
+event-by-event loop, with identical semantics, in chunks of a fixed number of
+arrivals: a chunk needs only the next arrival and each stream's last delivery,
+so memory does not grow with the horizon, and per-stream tallies are running
+sums.
 
 Arrivals come from one merged exponential(lam) gap stream. The stream label of
 each arrival is drawn by competing per-stream exponential clocks, one RNG
@@ -31,7 +34,7 @@ __all__ = [
     "PerStreamTally",
     "StreamStats",
     "SimResult",
-    "TraceEvent",
+    "TRACE_KINDS",
     "run",
     "empirical_mgf_probe",
     "clock_conditional_sampler",
@@ -81,27 +84,29 @@ class SimParams:
 
 @dataclass
 class PerStreamTally:
-    """Raw per-stream accounting for one replication, after warm-up."""
+    """Running per-stream sums for one replication, after warm-up.
+
+    ``mgf_sums`` maps each configured probe s to (sum of e^{sY}, sum of
+    e^{2sY}) over the interdeparture gaps Y.
+    """
 
     stream: int
     elapsed: float
-    deliveries: int
-    age_area: float
-    peaks_sum: float
-    peaks_count: int
-    y_sum: float
-    y2_sum: float
-    t_sum: float
-    ys: np.ndarray = field(repr=False)
-    system_times: np.ndarray = field(repr=False)
+    deliveries: int = 0
+    age_area: float = 0.0
+    peaks_sum: float = 0.0
+    peaks_count: int = 0
+    y_sum: float = 0.0
+    y2_sum: float = 0.0
+    t_sum: float = 0.0
+    t2_sum: float = 0.0
+    mgf_sums: dict[float, tuple[float, float]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    time: float
-    kind: str  # arrival | delivery | preemption
-    stream: int
-    generation_time: float
+# Trace kind codes are indices into TRACE_KINDS, which is also the order of
+# events at the same time.
+TRACE_KINDS = ("delivery", "arrival", "preemption")
+_DELIVERY, _ARRIVAL, _PREEMPTION = range(3)
 
 
 @dataclass(frozen=True)
@@ -127,23 +132,23 @@ class StreamStats:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Aggregated estimates; ``horizons`` holds the horizon of each replication.
+
+    ``trace`` (first replication, when requested) is four columns sorted by
+    time and then kind: time, kind code (see TRACE_KINDS), stream, and the
+    generation time of the update the event belongs to.
+    """
+
     streams: tuple[StreamStats, ...]
     replications: int
-    horizon: float
+    horizons: tuple[float, ...]
     tallies: tuple[tuple[PerStreamTally, ...], ...] = field(repr=False, default=())
-    trace: tuple[TraceEvent, ...] = field(repr=False, default=())
+    trace: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
 
-def _arrival_times(rng: np.random.Generator, lam: float, horizon: float) -> np.ndarray:
-    """Merged arrival process times, guaranteed to extend past the horizon."""
-    est = int(lam * horizon + 6.0 * math.sqrt(lam * horizon + 1.0) + 16)
-    chunks = []
-    total = 0.0
-    while total <= horizon:
-        g = rng.exponential(1.0 / lam, est)
-        chunks.append(g)
-        total += float(g.sum())
-    return np.cumsum(np.concatenate(chunks))
+# Arrivals simulated at a time. It sets the memory of a replication, whatever
+# its horizon; the sample path does not depend on it.
+_CHUNK = 1 << 16
 
 
 def _simulate_replication(
@@ -154,7 +159,7 @@ def _simulate_replication(
     probes: tuple[float, ...],
     substreams: tuple[int, ...],
     collect_trace: bool = False,
-) -> tuple[list[PerStreamTally], list[TraceEvent]]:
+) -> tuple[list[PerStreamTally], tuple[np.ndarray, ...] | None]:
     m = cfg.num_streams
     lam = cfg.total_rate
     children = seed_seq.spawn(2 + m)
@@ -162,93 +167,116 @@ def _simulate_replication(
     rng_service = np.random.default_rng(children[1])
     rng_select = [np.random.default_rng(children[2 + substreams[j]]) for j in range(m)]
 
-    times = _arrival_times(rng_arrivals, lam, horizon)
-    n = int(np.searchsorted(times, horizon, side="right"))
-    arr = times[:n]
-    next_arr = times[1 : n + 1]
-
-    # stream of each arrival via competing exponential clocks, one RNG per stream
-    scores = np.empty((m, n))
-    for j in range(m):
-        scores[j] = rng_select[j].exponential(1.0, n) / cfg.stream_probs[j]
-    labels = np.argmin(scores, axis=0)
-
-    services = np.asarray(cfg.service.sample(rng_service, n), dtype=float)
-
-    # delivered iff service completes before the next arrival (ties: delivered)
-    # and before the horizon ends
-    beats_next = services <= (next_arr - arr)
-    delivered = beats_next & (arr + services <= horizon)
-
     t_w = warmup_fraction * horizon
-    elapsed = horizon - t_w
+    tallies = [PerStreamTally(j + 1, horizon - t_w, mgf_sums=dict.fromkeys(probes, (0.0, 0.0))) for j in range(m)]
+    # each stream's last delivery (time, generation time); a virtual delivery
+    # at the origin starts the age at 0, but opens no interdeparture gap
+    last = [(0.0, 0.0)] * m
+    delivered_before = [False] * m
+    trace_parts = ([], [], [], [])  # per column, one array per chunk
 
-    tallies: list[PerStreamTally] = []
-    for j in range(m):
-        mask = delivered & (labels == j)
-        t_d = arr[mask] + services[mask]
-        gen = arr[mask]
-        svc = services[mask]
-        # virtual delivered-at-origin update: age starts at 0
-        prev_td = np.concatenate(([0.0], t_d[:-1]))
-        prev_gen = np.concatenate(([0.0], gen[:-1]))
+    # Each chunk simulates the arrivals before its last one, which is carried
+    # into the next chunk as the look-ahead that decides the final delivery.
+    carry, first = 0.0, 1  # the first chunk has no carried arrival
+    while True:
+        times = np.cumsum(np.concatenate(([carry], rng_arrivals.exponential(1.0 / lam, _CHUNK))))
+        arr, nxt = times[first:-1], times[first + 1 :]
+        n = int(np.searchsorted(arr, horizon, side="right"))
+        final = n < len(arr)
+        arr, nxt = arr[:n], nxt[:n]
+        carry, first = times[-1], 0
 
-        kept = t_d >= t_w
-        n_kept = int(kept.sum())
+        # stream of each arrival via competing exponential clocks, one RNG per
+        # stream; a strict < keeps the lowest stream on ties
+        best = rng_select[0].exponential(1.0, n)
+        best /= cfg.stream_probs[0]
+        labels = np.zeros(n, dtype=np.min_scalar_type(m))
+        for j in range(1, m):
+            score = rng_select[j].exponential(1.0, n)
+            score /= cfg.stream_probs[j]
+            np.putmask(labels, score < best, j)
+            np.minimum(best, score, out=best)
 
-        # exact sawtooth area on [t_w, horizon]; segments straddling the
-        # warm-up boundary are clipped at t_w
-        x0 = np.maximum(prev_td[kept], t_w)
-        width = t_d[kept] - x0
-        area = float(np.sum(width * (x0 - prev_gen[kept]) + 0.5 * width * width))
-        if len(t_d):
-            last_td, last_gen = float(t_d[-1]), float(gen[-1])
-        else:
-            last_td, last_gen = 0.0, 0.0
+        services = np.asarray(cfg.service.sample(rng_service, n), dtype=float)
+
+        # delivered iff service completes before the next arrival (ties:
+        # delivered) and before the horizon ends
+        done = arr + services
+        beats_next = services <= (nxt - arr)
+        delivered = beats_next & (done <= horizon)
+
+        idx = np.flatnonzero(delivered)
+        d_label = labels[idx]
+        for j in range(m):
+            sel = idx[d_label == j]
+            if not len(sel):
+                continue
+            t_d, gen, svc = done[sel], arr[sel], services[sel]
+            prev_td = np.concatenate(([last[j][0]], t_d[:-1]))
+            prev_gen = np.concatenate(([last[j][1]], gen[:-1]))
+            has_pred = delivered_before[j]
+            last[j], delivered_before[j] = (float(t_d[-1]), float(gen[-1])), True
+
+            # delivery times increase, so the post-warm-up ones are a suffix
+            k = int(np.searchsorted(t_d, t_w))
+            if k == len(t_d):
+                continue
+            t_d, prev_td, prev_gen, svc = t_d[k:], prev_td[k:], prev_gen[k:], svc[k:]
+            t = tallies[j]
+            # exact sawtooth area; segments straddling the warm-up boundary
+            # are clipped at t_w
+            x0 = np.maximum(prev_td, t_w)
+            width = t_d - x0
+            t.age_area += float(np.sum(width * (x0 - prev_gen) + 0.5 * width * width))
+            t.deliveries += len(t_d)
+            t.t_sum += float(svc.sum())
+            t.t2_sum += float(np.sum(svc * svc))
+
+            # Y and peaks only between consecutive real deliveries
+            if k == 0 and not has_pred:
+                t_d, prev_td, prev_gen = t_d[1:], prev_td[1:], prev_gen[1:]
+            ys = t_d - prev_td
+            t.peaks_sum += float(np.sum(t_d - prev_gen))
+            t.peaks_count += len(ys)
+            t.y_sum += float(ys.sum())
+            t.y2_sum += float(np.sum(ys * ys))
+            for s, (total, sq) in t.mgf_sums.items():
+                e = np.exp(s * ys)
+                t.mgf_sums[s] = (total + float(e.sum()), sq + float(np.sum(e * e)))
+
+        if collect_trace:
+            pre = np.flatnonzero(~beats_next & (nxt <= horizon))
+            kinds = np.array((_ARRIVAL, _DELIVERY, _PREEMPTION), dtype=np.int8)
+            for part, column in zip(
+                trace_parts,
+                (
+                    np.concatenate((arr, done[idx], nxt[pre])),
+                    np.repeat(kinds, (n, len(idx), len(pre))),
+                    np.concatenate((labels, d_label, labels[pre])) + 1,
+                    np.concatenate((arr, arr[idx], arr[pre])),
+                ),
+            ):
+                part.append(column)
+        if final:
+            break
+
+    for t, (last_td, last_gen) in zip(tallies, last):
         tail0 = max(last_td, t_w)
         tail_w = horizon - tail0
         if tail_w > 0:
-            area += tail_w * (tail0 - last_gen) + 0.5 * tail_w * tail_w
+            t.age_area += tail_w * (tail0 - last_gen) + 0.5 * tail_w * tail_w
 
-        # Y and peaks only between consecutive real deliveries
-        has_pred = np.arange(len(t_d)) >= 1
-        sel = kept & has_pred
-        ys = (t_d - prev_td)[sel]
-        peaks = (t_d - prev_gen)[sel]
-
-        tallies.append(
-            PerStreamTally(
-                stream=j + 1,
-                elapsed=elapsed,
-                deliveries=n_kept,
-                age_area=area,
-                peaks_sum=float(peaks.sum()),
-                peaks_count=int(len(peaks)),
-                y_sum=float(ys.sum()),
-                y2_sum=float(np.sum(ys * ys)),
-                t_sum=float(svc[kept].sum()),
-                ys=ys,
-                system_times=svc[kept],
-            )
-        )
-
-    trace: list[TraceEvent] = []
+    trace = None
     if collect_trace:
-        for k in range(n):
-            trace.append(TraceEvent(float(arr[k]), "arrival", int(labels[k]) + 1, float(arr[k])))
-            if delivered[k]:
-                trace.append(
-                    TraceEvent(float(arr[k] + services[k]), "delivery", int(labels[k]) + 1, float(arr[k]))
-                )
-        preempted = ~beats_next
-        for k in np.nonzero(preempted)[0]:
-            if next_arr[k] <= horizon:
-                trace.append(
-                    TraceEvent(float(next_arr[k]), "preemption", int(labels[k]) + 1, float(arr[k]))
-                )
-        order = {"delivery": 0, "arrival": 1, "preemption": 2}
-        trace.sort(key=lambda e: (e.time, order[e.kind]))
-
+        # one column at a time, so that at most one column is held twice
+        columns = []
+        for part in trace_parts:
+            columns.append(np.concatenate(part))
+            part.clear()
+        order = np.lexsort((columns[1], columns[0]))
+        for c in range(4):
+            columns[c] = columns[c][order]
+        trace = tuple(columns)
     return tallies, trace
 
 
@@ -270,7 +298,7 @@ def _tally_metrics(t: PerStreamTally) -> dict[str, float]:
 
 
 def _probe_mean(t: PerStreamTally, s: float) -> float:
-    return float(np.mean(np.exp(s * t.ys))) if len(t.ys) else math.nan
+    return t.mgf_sums[s][0] / t.peaks_count if t.peaks_count else math.nan
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -285,8 +313,10 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
 
     Replications use independently spawned RNG substreams; estimates are the
     unweighted mean across replications with the replication-level standard
-    error as half-width (0 when there is a single replication). The event
-    trace, when requested, comes from the first replication only.
+    error as half-width (0 when there is a single replication). Under the
+    count stop rule every replication starts from the same horizon and, if
+    short of deliveries, is rerun on a 1.6 times longer one. The event trace,
+    when requested, comes from the first replication only.
     """
     cfg = params.cfg
     reps = params.replications
@@ -295,14 +325,16 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
     rep_seeds = root.spawn(reps)
 
     if params.max_time is not None:
-        horizon = float(params.max_time)
+        start = float(params.max_time)
     else:
-        horizon = _horizon_for_count(cfg, params.min_deliveries_per_stream, params.warmup_fraction)
+        start = _horizon_for_count(cfg, params.min_deliveries_per_stream, params.warmup_fraction)
 
     all_tallies: list[tuple[PerStreamTally, ...]] = []
-    trace: tuple[TraceEvent, ...] = ()
+    horizons: list[float] = []
+    trace = None
     for r in range(reps):
         seed_seq = rep_seeds[r]
+        horizon = start
         while True:
             tallies, tr = _simulate_replication(
                 cfg,
@@ -319,8 +351,9 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
                 break
             horizon *= 1.6
         all_tallies.append(tuple(tallies))
-        if collect_trace and r == 0:
-            trace = tuple(tr)
+        horizons.append(horizon)
+        if r == 0:
+            trace = tr
 
     streams = []
     for j in range(cfg.num_streams):
@@ -341,22 +374,30 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
     return SimResult(
         streams=tuple(streams),
         replications=reps,
-        horizon=horizon,
+        horizons=tuple(horizons),
         tallies=tuple(all_tallies),
         trace=trace,
     )
 
 
 def empirical_mgf_probe(tally: PerStreamTally, s: float) -> tuple[float, float]:
-    """Empirical E[e^{sY}] with standard error, from one replication's gaps."""
-    if s > 0:
-        raise ParameterDomainError(f"empirical MGF probe requires s <= 0, got {s}")
-    if len(tally.ys) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 interdeparture gaps, have {len(tally.ys)}"
+    """Empirical E[e^{sY}] with standard error, from one replication's gaps.
+
+    Only s = 0 and the probes the replication was run with are available.
+    """
+    if s != 0.0 and s not in tally.mgf_sums:
+        raise ParameterDomainError(
+            f"empirical MGF probe needs s = 0 or a configured probe {sorted(tally.mgf_sums)}, got {s}"
         )
-    vals = np.exp(s * tally.ys)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    n = tally.peaks_count
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 interdeparture gaps, have {n}")
+    if s == 0.0:
+        return 1.0, 0.0
+    total, sq = tally.mgf_sums[s]
+    mean = total / n
+    var = max(sq - total * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 _MAX_REJECTION_RATE = 0.9999

@@ -74,6 +74,12 @@ class TestMgfs:
         assert interdeparture_mgf(REF, 1, -0.5) == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert interdeparture_mgf(REF, 1, -1.0) == pytest.approx(3.0 / 17.0, rel=1e-12)
 
+    def test_interdeparture_at_zero_under_heavy_load(self):
+        # P(lam) is about 1e-13 here; the MGF is still exactly 1 at s=0
+        cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), Deterministic(20.0))
+        for i in (1, 2, 3):
+            assert interdeparture_mgf(cfg, i, 0.0) == 1.0
+
     def test_interdeparture_pole(self):
         # lam_1 * P(lam - s) = s has a root between 0 and lam_1
         with pytest.raises(PoleError):

@@ -4,8 +4,10 @@ import os
 
 import pytest
 
-from aoi_mg11 import cli
+from aoi_mg11 import cli, simulator
+from aoi_mg11.analytic import SystemConfig
 from aoi_mg11.cli import main
+from aoi_mg11.distributions import Exponential
 from aoi_mg11.errors import InsufficientDataError
 
 REF_SYSTEM = {
@@ -168,6 +170,25 @@ class TestSimulate:
         times = [float(r["time"]) for r in rows]
         assert times == sorted(times)
         assert {r["kind"] for r in rows} <= {"arrival", "delivery", "preemption"}
+
+    def test_trace_rows_in_full_repr(self, monkeypatch):
+        # the block writer shares reprs between columns and blocks; every row
+        # must read as if each value were printed on its own
+        cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), Exponential(1.0))
+        trace = simulator.run(simulator.SimParams(cfg, max_time=2e3, seed=42), collect_trace=True).trace
+        rows = zip(*(c.tolist() for c in trace))
+        expected = "".join(f"{t!r},{simulator.TRACE_KINDS[k]},{s},{g!r}\n" for t, k, s, g in rows)
+        monkeypatch.setattr(cli, "_TRACE_ROWS", 3)
+        assert "".join(cli._trace_chunks(trace)) == "time,kind,stream,generation_time\n" + expected
+
+    def test_missing_trace_directory(self, tmp_path, capsys):
+        out, trace = tmp_path / "sim.csv", tmp_path / "missing" / "trace.csv"
+        cfg = self.simulate_cfg(tmp_path, out, max_time=10.0)
+        assert main(["simulate", "-c", cfg, "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {trace}: " in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sim.csv"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out = tmp_path / "sim.csv"
@@ -444,6 +465,14 @@ class TestAtomicWrites:
         assert out.read_text().startswith("stream,")
         assert foreign.read_text() == "another run's output"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv", "report.csv.tmp"]
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        cfg = write_config(tmp_path, system=REF_SYSTEM, output={"path": str(out)})
+        assert main(["analyze", "-c", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {out}: No such file or directory" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
         def fail(src, dst):

@@ -1,8 +1,11 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aoi_mg11 import cli, simulator
 from aoi_mg11.analytic import (
     SystemConfig,
     avg_age,
@@ -89,9 +92,10 @@ class TestSamplePathIdentities:
         expected = mean_system_time(REF)
         for r in range(ref_result.replications):
             for t in ref_result.tallies[r]:
-                x = t.system_times
-                sigma = x.std(ddof=1) / math.sqrt(len(x))
-                assert abs(x.mean() - expected) < 3.0 * sigma + 0.005 * expected
+                n = t.deliveries
+                mean = t.t_sum / n
+                sigma = math.sqrt((t.t2_sum - t.t_sum * mean) / (n - 1) / n)
+                assert abs(mean - expected) < 3.0 * sigma + 0.005 * expected
 
 
 class TestDeterminismAndSymmetry:
@@ -130,6 +134,16 @@ class TestStopRules:
         for s in res.streams:
             assert s.deliveries >= 2000
 
+    def test_count_rule_restarts_every_replication(self):
+        # replication 0 needs a longer horizon; the others must not inherit it
+        params = SimParams(
+            REF, min_deliveries_per_stream=3, seed=2, replications=4, warmup_fraction=0.5
+        )
+        res = run(params)
+        assert res.horizons == (104.0, 65.0, 65.0, 65.0)
+        for tallies in res.tallies:
+            assert all(t.deliveries >= 3 for t in tallies)
+
     def test_param_validation(self):
         with pytest.raises(ParameterDomainError):
             SimParams(REF)  # no stop rule
@@ -145,6 +159,56 @@ class TestStopRules:
             SimParams(REF, max_time=10.0, mgf_probes=(0.5,))
         with pytest.raises(ParameterDomainError):
             SimParams(REF, max_time=10.0, stream_substreams=(0, 1))
+
+
+SUM_FIELDS = ("elapsed", "age_area", "peaks_sum", "y_sum", "y2_sum", "t_sum", "t2_sum")
+
+
+class TestChunkedReplication:
+    @pytest.mark.parametrize("service", [Exponential(1.0), Gamma(2.0, 0.5)], ids=["exponential", "gamma"])
+    def test_chunk_size_does_not_change_results(self, tmp_path, monkeypatch, service):
+        cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), service)
+        params = SimParams(cfg, max_time=3e4, seed=4, replications=2, mgf_probes=(-0.5, -1.0))
+        system = {"total_rate": 1.5, "stream_probs": [0.5, 0.3, 0.2], "service": service.to_config()}
+        config = tmp_path / "sim.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "system": system,
+                    "simulation": {"max_time": 3e4, "seed": 4},
+                    "output": {"path": str(tmp_path / "sim.csv")},
+                }
+            )
+        )
+
+        def simulate(name):
+            assert cli.main(["simulate", "-c", str(config), "--trace", str(tmp_path / name)]) == 0
+            return run(params), (tmp_path / name).read_bytes()
+
+        default, default_trace = simulate("default.csv")
+        monkeypatch.setattr(simulator, "_CHUNK", 777)
+        small, small_trace = simulate("small.csv")
+
+        assert small_trace == default_trace
+        for rep_a, rep_b in zip(default.tallies, small.tallies):
+            for a, b in zip(rep_a, rep_b):
+                assert a.peaks_count > 1000
+                assert (a.deliveries, a.peaks_count) == (b.deliveries, b.peaks_count)
+                for name in SUM_FIELDS:
+                    assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-11, abs=0.0)
+                for s in params.mgf_probes:
+                    assert b.mgf_sums[s] == pytest.approx(a.mgf_sums[s], rel=1e-11, abs=0.0)
+
+    def test_memory_does_not_grow_with_horizon(self):
+        def peak(max_time):
+            tracemalloc.start()
+            try:
+                run(SimParams(REF, max_time=max_time, seed=8, mgf_probes=(-0.5,)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2e6) <= 2.0 * peak(2e5)
 
 
 class TestEmpiricalMgf:
@@ -170,8 +234,12 @@ class TestEmpiricalMgf:
         with pytest.raises(ParameterDomainError):
             empirical_mgf_probe(ref_result.tallies[0][0], 0.5)
 
+    def test_unconfigured_probe_rejected(self, ref_result):
+        with pytest.raises(ParameterDomainError):
+            empirical_mgf_probe(ref_result.tallies[0][0], -0.25)
+
     def test_insufficient_data(self):
-        res = run(SimParams(REF, max_time=2.0, seed=1))
+        res = run(SimParams(REF, max_time=2.0, seed=1, mgf_probes=(-0.5,)))
         with pytest.raises(InsufficientDataError):
             empirical_mgf_probe(res.tallies[0][2], -0.5)
 
