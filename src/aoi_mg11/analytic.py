@@ -82,15 +82,42 @@ class SystemConfig:
         return self.service.laplace(self.total_rate)
 
 
+# Each metric is written once, as a function of the stream rate lam_i,
+# P = P(lam) and ew = E[S e^{-lam S}]; the public functions and age_report
+# evaluate P and ew and call these.
+
+
+def _avg_age(li: float, p: float) -> float:
+    # the direct closed form. It has the value of E[Y] but stays apart from
+    # it: age_report checks it against a moment decomposition built on E[Y].
+    return 1.0 / (li * p)
+
+
+def _peak_age(li: float, p: float, ew: float) -> float:
+    return _avg_age(li, p) + _mean_system_time(p, ew)
+
+
+def _mean_system_time(p: float, ew: float) -> float:
+    return ew / p
+
+
+def _mean_interdeparture(li: float, p: float) -> float:
+    return 1.0 / (li * p)
+
+
+def _second_moment_interdeparture(li: float, p: float, ew: float) -> float:
+    return 2.0 * (-ew / (li * p * p) + 1.0 / (li * li * p * p))
+
+
 def avg_age(cfg: SystemConfig, i: int) -> float:
     """Long-run time-average age of stream i."""
-    return 1.0 / (cfg.stream_rate(i) * cfg.service_beats_arrival())
+    return _avg_age(cfg.stream_rate(i), cfg.service_beats_arrival())
 
 
 def peak_age(cfg: SystemConfig, i: int) -> float:
     """Long-run average peak age of stream i."""
-    p = cfg.service_beats_arrival()
-    return 1.0 / (cfg.stream_rate(i) * p) + cfg.service.exp_weighted_mean(cfg.total_rate) / p
+    ew = cfg.service.exp_weighted_mean(cfg.total_rate)
+    return _peak_age(cfg.stream_rate(i), cfg.service_beats_arrival(), ew)
 
 
 def system_time_mgf(cfg: SystemConfig, s: float) -> float:
@@ -147,20 +174,18 @@ def moments_from_mgf(mgf: Callable[[float], float], order: int, h: float = 1e-4)
 
 def mean_system_time(cfg: SystemConfig) -> float:
     """E[T] of a delivered update."""
-    return cfg.service.exp_weighted_mean(cfg.total_rate) / cfg.service_beats_arrival()
+    return _mean_system_time(cfg.service_beats_arrival(), cfg.service.exp_weighted_mean(cfg.total_rate))
 
 
 def mean_interdeparture(cfg: SystemConfig, i: int) -> float:
     """E[Y] for stream i."""
-    return 1.0 / (cfg.stream_rate(i) * cfg.service_beats_arrival())
+    return _mean_interdeparture(cfg.stream_rate(i), cfg.service_beats_arrival())
 
 
 def second_moment_interdeparture(cfg: SystemConfig, i: int) -> float:
     """E[Y^2] for stream i."""
-    p = cfg.service_beats_arrival()
-    li = cfg.stream_rate(i)
     ew = cfg.service.exp_weighted_mean(cfg.total_rate)
-    return 2.0 * (-ew / (li * p * p) + 1.0 / (li * li * p * p))
+    return _second_moment_interdeparture(cfg.stream_rate(i), cfg.service_beats_arrival(), ew)
 
 
 @dataclass(frozen=True)
@@ -186,10 +211,10 @@ class AgeReport:
 _DUAL_ROUTE_TOL = 1e-9
 
 
-def _check_routes(label: str, direct: float, decomposed: float) -> None:
+def _check_routes(metric: str, i: int, direct: float, decomposed: float) -> None:
     if abs(direct - decomposed) > _DUAL_ROUTE_TOL * max(abs(direct), 1.0):
         raise InvariantViolationError(
-            f"{label}: direct formula {direct!r} disagrees with moment decomposition {decomposed!r}"
+            f"{metric} stream {i}: direct formula {direct!r} disagrees with moment decomposition {decomposed!r}"
         )
 
 
@@ -200,16 +225,20 @@ def age_report(cfg: SystemConfig) -> AgeReport:
     sawtooth moment decomposition (E[T] + E[Y^2]/(2 E[Y]) for the average,
     E[T] + E[Y] for the peak). Disagreement beyond 1e-9 relative means a
     formula was transcribed wrong and raises InvariantViolationError.
+    P(lam) and E[S e^{-lam S}] are evaluated once for all streams.
     """
-    e_t = mean_system_time(cfg)
+    p = cfg.service_beats_arrival()
+    ew = cfg.service.exp_weighted_mean(cfg.total_rate)
+    e_t = _mean_system_time(p, ew)
     rows = []
-    for i in range(1, cfg.num_streams + 1):
-        e_y = mean_interdeparture(cfg, i)
-        e_y2 = second_moment_interdeparture(cfg, i)
-        delta = avg_age(cfg, i)
-        delta_pk = peak_age(cfg, i)
-        _check_routes(f"avg_age stream {i}", delta, e_t + e_y2 / (2.0 * e_y))
-        _check_routes(f"peak_age stream {i}", delta_pk, e_t + e_y)
+    for i, prob in enumerate(cfg.stream_probs, start=1):
+        li = cfg.stream_rate(i)
+        e_y = _mean_interdeparture(li, p)
+        e_y2 = _second_moment_interdeparture(li, p, ew)
+        delta = _avg_age(li, p)
+        delta_pk = _peak_age(li, p, ew)
+        _check_routes("avg_age", i, delta, e_t + e_y2 / (2.0 * e_y))
+        _check_routes("peak_age", i, delta_pk, e_t + e_y)
         if not delta_pk > delta:
             raise InvariantViolationError(
                 f"peak age {delta_pk!r} not above average age {delta!r} for stream {i}"
@@ -217,8 +246,8 @@ def age_report(cfg: SystemConfig) -> AgeReport:
         rows.append(
             StreamMetrics(
                 stream=i,
-                rate=cfg.stream_rate(i),
-                prob=cfg.stream_probs[i - 1],
+                rate=li,
+                prob=prob,
                 avg_age=delta,
                 peak_age=delta_pk,
                 delivery_rate=1.0 / e_y,

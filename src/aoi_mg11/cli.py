@@ -511,7 +511,6 @@ def main(argv: list[str] | None = None) -> int:
         SingularSystemError,
         DivergenceError,
         ConditioningTooRareError,
-        IndexError,
     ) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SystemConfig, avg_age, peak_age
+from .analytic import _PROB_SUM_TOL, SystemConfig, _avg_age, _peak_age
 from .distributions import ServiceDistribution
 from .errors import InvariantViolationError, ParameterDomainError
 
@@ -30,29 +30,55 @@ class AllocationResult:
     max_violation: float
 
 
+# Simplex coordinates drawn per block (rows of m); it bounds the memory a
+# large sample takes.
+_BLOCK = 1 << 17
+
+
+def _factored_totals(inv_p_sum, m: int, lam: float, p_lam: float, ew: float):
+    """Total average and peak age from sum(1/p_i): both factor through it."""
+    tot = inv_p_sum / (lam * p_lam)
+    return tot, tot + m * ew / p_lam
+
+
+def _total_ages(lam: float, dist: ServiceDistribution, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total average and peak age for each split in the rows of probs.
+
+    lam and each row are checked as SystemConfig checks a system (lam > 0
+    and finite, every p_i > 0, the row sums to 1). The totals are computed
+    both as the per-stream sum and in the factored (1/(lam P)) * sum(1/p_i)
+    form; the two must agree to 1e-12 relative in every row.
+    """
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ParameterDomainError(f"total_rate must be > 0, got {lam}")
+    nonpositive = ~(probs > 0).all(axis=1)
+    if nonpositive.any():
+        raise ParameterDomainError(f"every stream probability must be > 0, got {tuple(probs[nonpositive][0])}")
+    sums = probs.sum(axis=1)
+    off = np.abs(sums - 1.0) > _PROB_SUM_TOL
+    if off.any():
+        raise ParameterDomainError(f"stream probabilities must sum to 1 (got {sums[off][0]!r})")
+    p_lam = dist.laplace(lam)
+    ew = dist.exp_weighted_mean(lam)
+    rates = lam * probs
+    summed = _avg_age(rates, p_lam).sum(axis=1)
+    summed_peak = _peak_age(rates, p_lam, ew).sum(axis=1)
+    factored, factored_peak = _factored_totals((1.0 / probs).sum(axis=1), probs.shape[1], lam, p_lam, ew)
+    for label, x, y in (("total age", summed, factored), ("total peak age", summed_peak, factored_peak)):
+        bad = np.abs(x - y) > 1e-12 * np.maximum(np.abs(x), 1.0)
+        if bad.any():
+            raise InvariantViolationError(f"{label}: summed {x[bad][0]!r} vs factored {y[bad][0]!r}")
+    return summed, summed_peak
+
+
 def total_age(cfg: SystemConfig) -> tuple[float, float]:
     """(total average age, total average peak age).
 
     Computed both as the per-stream sum and via the factored
     (1/(lam P)) * sum(1/p_i) form; the two must agree to 1e-12 relative.
     """
-    m = cfg.num_streams
-    p = cfg.service_beats_arrival()
-    lam = cfg.total_rate
-    summed = math.fsum(avg_age(cfg, i) for i in range(1, m + 1))
-    summed_peak = math.fsum(peak_age(cfg, i) for i in range(1, m + 1))
-    inv_p_sum = math.fsum(1.0 / q for q in cfg.stream_probs)
-    factored = inv_p_sum / (lam * p)
-    factored_peak = factored + m * cfg.service.exp_weighted_mean(lam) / p
-    for label, x, y in (("total age", summed, factored), ("total peak age", summed_peak, factored_peak)):
-        if abs(x - y) > 1e-12 * max(abs(x), 1.0):
-            raise InvariantViolationError(f"{label}: summed {x!r} vs factored {y!r}")
-    return summed, summed_peak
-
-
-def _uniform_simplex(rng: np.random.Generator, m: int) -> np.ndarray:
-    e = rng.exponential(1.0, m)
-    return e / e.sum()
+    tot, tot_peak = _total_ages(cfg.total_rate, cfg.service, np.array([cfg.stream_probs]))
+    return float(tot[0]), float(tot_peak[0])
 
 
 def optimal_allocation(
@@ -64,8 +90,10 @@ def optimal_allocation(
 ) -> AllocationResult:
     """The fair allocation and its total ages, with a sampled optimality check.
 
-    max_violation records by how much any sampled allocation beat the fair
-    optimum (0 when optimality holds on the sample, as it must).
+    The n_random_points splits are drawn uniformly on the simplex (normalised
+    exponentials, one row of m draws a point). max_violation records by how
+    much any sampled allocation beat the fair optimum (0 when optimality holds
+    on the sample, as it must).
     """
     if m < 1:
         raise ParameterDomainError(f"need at least one stream, got {m}")
@@ -73,18 +101,17 @@ def optimal_allocation(
         raise ParameterDomainError(f"total rate must be > 0, got {lam}")
     if rng is None:
         rng = np.random.default_rng(0)
-    p_lam = dist.laplace(lam)
-    delta_tot_star = m * m / (lam * p_lam)
-    delta_peak_tot_star = delta_tot_star + m * dist.exp_weighted_mean(lam) / p_lam
+    delta_tot_star, delta_peak_tot_star = _factored_totals(
+        m * m, m, lam, dist.laplace(lam), dist.exp_weighted_mean(lam)
+    )
 
     max_violation = 0.0
     if m > 1:
-        for _ in range(n_random_points):
-            p = _uniform_simplex(rng, m)
-            cfg = SystemConfig(lam, tuple(p), dist)
-            tot, _ = total_age(cfg)
-            max_violation = max(max_violation, delta_tot_star - tot)
-        max_violation = max(0.0, max_violation)
+        rows = max(1, _BLOCK // m)
+        for lo in range(0, n_random_points, rows):
+            e = rng.exponential(1.0, (min(rows, n_random_points - lo), m))
+            tot, _ = _total_ages(lam, dist, e / e.sum(axis=1, keepdims=True))
+            max_violation = max(max_violation, float(np.max(delta_tot_star - tot)))
     return AllocationResult(
         p_star=tuple([1.0 / m] * m),
         delta_tot_star=delta_tot_star,
@@ -123,19 +150,12 @@ def priority_frontier(
     if len(residual_split) != m - 1 or abs(math.fsum(residual_split) - 1.0) > 1e-12:
         raise ParameterDomainError("residual_split must be m-1 fractions summing to 1")
 
-    rows = []
-    for g in grid:
-        probs = []
-        k = 0
-        for j in range(1, m + 1):
-            if j == i:
-                probs.append(g)
-            else:
-                probs.append((1.0 - g) * residual_split[k])
-                k += 1
-        cfg = SystemConfig(lam, tuple(probs), dist)
-        tot, _ = total_age(cfg)
-        rows.append((g, avg_age(cfg, i), tot))
+    probs = np.empty((len(grid), m))
+    g = np.array(grid, dtype=float)
+    probs[:, i - 1] = g
+    probs[:, [j for j in range(m) if j != i - 1]] = np.outer(1.0 - g, residual_split)
+    tot, _ = _total_ages(lam, dist, probs)
+    rows = list(zip(grid, _avg_age(lam * g, dist.laplace(lam)).tolist(), tot.tolist()))
 
     ordered = sorted(rows)
     for (g0, d0, t0), (g1, d1, t1) in zip(ordered, ordered[1:]):

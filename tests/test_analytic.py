@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_mg11.analytic import (
     SystemConfig,
@@ -17,7 +19,7 @@ from aoi_mg11.analytic import (
     second_moment_interdeparture,
     system_time_mgf,
 )
-from aoi_mg11.distributions import Deterministic, Exponential
+from aoi_mg11.distributions import Deterministic, Exponential, Gamma, Uniform
 from aoi_mg11.errors import ParameterDomainError, PoleError
 
 from conftest import random_system_config
@@ -187,3 +189,78 @@ class TestRandomConfigProperties:
             peaks.append(peak_age(cfg, 1))
         assert all(b < a for a, b in zip(ages, ages[1:]))
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
+
+
+# one random law of each family, and the law of c*S for each
+FAMILIES = {
+    "exponential": lambda rng: Exponential(float(rng.uniform(0.2, 5.0))),
+    "gamma": lambda rng: Gamma(float(rng.uniform(0.3, 4.0)), float(rng.uniform(0.1, 1.5))),
+    "deterministic": lambda rng: Deterministic(float(rng.uniform(0.05, 2.0))),
+    "uniform": lambda rng: Uniform(float(rng.uniform(0.0, 1.0)), float(rng.uniform(1.05, 2.5))),
+}
+
+
+def scaled(dist, c):
+    if isinstance(dist, Exponential):
+        return Exponential(dist.rate / c)
+    if isinstance(dist, Gamma):
+        return Gamma(dist.shape, dist.scale * c)
+    if isinstance(dist, Deterministic):
+        return Deterministic(dist.value * c)
+    return Uniform(dist.lower * c, dist.upper * c)
+
+
+class TestFormulaIdentity:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_report_rows_equal_public_functions(self, family, rng):
+        for _ in range(25):
+            m = int(rng.integers(1, 9))
+            raw = rng.exponential(1.0, m)
+            cfg = SystemConfig(float(rng.uniform(0.1, 4.0)), tuple(raw / raw.sum()), FAMILIES[family](rng))
+            rep = age_report(cfg)
+            for row in rep.streams:
+                i = row.stream
+                assert row.rate == cfg.stream_rate(i)
+                assert row.avg_age == avg_age(cfg, i)
+                assert row.peak_age == peak_age(cfg, i)
+                assert row.mean_system_time == mean_system_time(cfg)
+                assert row.mean_interdeparture == mean_interdeparture(cfg, i)
+                assert row.second_moment_interdeparture == second_moment_interdeparture(cfg, i)
+                assert row.delivery_rate == 1.0 / mean_interdeparture(cfg, i)
+
+
+services = st.one_of(
+    st.builds(Exponential, st.floats(0.1, 10.0)),
+    st.builds(Gamma, st.floats(0.2, 5.0), st.floats(0.05, 2.0)),
+    st.builds(Deterministic, st.floats(0.01, 3.0)),
+    st.builds(lambda a, w: Uniform(a, a + w), st.floats(0.0, 2.0), st.floats(0.01, 2.0)),
+)
+
+
+class TestTimeRescaling:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.floats(0.01, 10.0),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+        dist=services,
+        c=st.floats(1e-3, 1e3),
+    )
+    def test_every_metric_scales_with_time(self, lam, weights, dist, c):
+        # service time c*S at rate lam/c is the same system on a clock c times slower
+        probs = tuple(w / math.fsum(weights) for w in weights)
+        base = age_report(SystemConfig(lam, probs, dist))
+        slow = age_report(SystemConfig(lam / c, probs, scaled(dist, c)))
+        powers = {
+            "avg_age": 1,
+            "peak_age": 1,
+            "mean_system_time": 1,
+            "mean_interdeparture": 1,
+            "second_moment_interdeparture": 2,
+            "delivery_rate": -1,
+        }
+        for row, row_c in zip(base.streams, slow.streams):
+            for name, k in powers.items():
+                want = getattr(row, name) * c**k
+                assert getattr(row_c, name) == pytest.approx(want, rel=1e-12), name
+        assert slow.total_avg_age == pytest.approx(base.total_avg_age * c, rel=1e-12)
+        assert slow.total_peak_age == pytest.approx(base.total_peak_age * c, rel=1e-12)

@@ -267,6 +267,17 @@ def test_insufficient_data_exit_code(tmp_path, monkeypatch, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_index_error_is_not_a_domain_error(tmp_path, monkeypatch, capsys):
+    # no input reaches a stream index unchecked, so an IndexError is a bug
+    def bad_index(cfg):
+        cfg.stream_rate(cfg.num_streams + 1)
+
+    monkeypatch.setattr(cli.analytic, "age_report", bad_index)
+    with pytest.raises(IndexError):
+        main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM)])
+    assert "domain error" not in capsys.readouterr().err
+
+
 class TestOptimize:
     def test_reference(self, capsys):
         assert (

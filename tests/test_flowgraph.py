@@ -165,6 +165,45 @@ class TestPathEnumeration:
             value, _ = path_enumeration_oracle(pr, w, max_edges=depth)
             assert value == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("depth", [3, 5, 7, 9, 11])
+    def test_doubling_matches_brute_force_off_powers_of_two(self, depth):
+        pr = clock_probs(REF, 3)
+        w = edge_weights(REF, -0.25)
+        brute = sum(np.prod([e[2] for e in p]) for p in enumerate_paths(build_graph(pr, w), depth))
+        value, _ = path_enumeration_oracle(pr, w, max_edges=depth)
+        assert value == pytest.approx(brute, rel=1e-13)
+
+    @pytest.mark.parametrize("i, s", [(1, 0.0), (3, 0.0), (3, -0.5), (2, -1.0)])
+    def test_doubling_matches_step_by_step_sum(self, i, s):
+        # sum_{k<n} start W^k t, one product a step, with |W| for the tail
+        pr = clock_probs(REF, i)
+        w = edge_weights(REF, s)
+        idx = {n: k for k, n in enumerate((Q0, Q1, Q1P, Q0P))}
+        mat, exit_vec = np.zeros((4, 4)), np.zeros(4)
+        for src, dst, label in build_graph(pr, w).edges:
+            if dst == QBAR:
+                exit_vec[idx[src]] += label
+            else:
+                mat[idx[src], idx[dst]] += label
+        v = np.eye(4)[0]
+        v_abs = v.copy()
+        total = 0.0
+        for _ in range(1000):
+            total += v @ exit_vec
+            v = v @ mat
+            v_abs = v_abs @ np.abs(mat)
+        tail = v_abs @ np.linalg.solve(np.eye(4) - np.abs(mat), np.abs(exit_vec))
+        value, bound = path_enumeration_oracle(pr, w, max_edges=1000)
+        assert value == pytest.approx(total, rel=1e-14)
+        assert bound == pytest.approx(tail, rel=1e-14)
+        assert 0.0 < bound
+
+    def test_astronomical_depth(self):
+        pr = clock_probs(REF, 3)
+        value, bound = path_enumeration_oracle(pr, UNIT, max_edges=1 << 40)
+        assert np.isfinite(value) and np.isfinite(bound)
+        assert value == pytest.approx(1.0, rel=1e-12)
+
     def test_divergence_detected(self):
         pr = clock_probs(REF, 1)
         big = EdgeWeights(3.0, 3.0, 3.0, 3.0, 3.0)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aoi_mg11.analytic import SystemConfig
+from aoi_mg11 import optimizer
+from aoi_mg11.analytic import SystemConfig, avg_age
 from aoi_mg11.distributions import Deterministic, Exponential, Gamma, Uniform
-from aoi_mg11.errors import ParameterDomainError
+from aoi_mg11.errors import InvariantViolationError, ParameterDomainError
 from aoi_mg11.optimizer import optimal_allocation, priority_frontier, total_age
 
 from conftest import random_system_config
@@ -80,6 +81,52 @@ class TestOptimalAllocation:
             optimal_allocation(0.0, 3, Exponential(1.0))
         with pytest.raises(ParameterDomainError):
             optimal_allocation(1.0, 0, Exponential(1.0))
+
+
+FAMILIES = [Exponential(1.0), Gamma(2.0, 0.5), Deterministic(0.8), Uniform(0.0, 1.5)]
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("dist", FAMILIES)
+    def test_matches_per_point_reference(self, dist):
+        lam, m, n = 1.2, 3, 300
+        rng = np.random.default_rng(5)
+        res = optimal_allocation(lam, m, dist, n_random_points=n, rng=rng)
+        ref_rng = np.random.default_rng(5)
+        star = m * m / (lam * dist.laplace(lam))
+        worst = 0.0
+        for _ in range(n):
+            raw = ref_rng.exponential(1.0, m)
+            cfg = SystemConfig(lam, tuple(raw / raw.sum()), dist)
+            tot = math.fsum(avg_age(cfg, i) for i in range(1, m + 1))
+            assert total_age(cfg)[0] == pytest.approx(tot, rel=1e-15)
+            worst = max(worst, star - tot)
+        assert res.max_violation == max(0.0, worst)
+        # the sample took exactly n draws of m from the generator
+        assert rng.exponential(1.0, m).tolist() == ref_rng.exponential(1.0, m).tolist()
+
+    def test_block_size_does_not_change_the_sample(self, monkeypatch):
+        results = []
+        for block in (optimizer._BLOCK, 7):
+            monkeypatch.setattr(optimizer, "_BLOCK", block)
+            rng = np.random.default_rng(11)
+            res = optimal_allocation(1.2, 3, Gamma(2.0, 0.5), n_random_points=50, rng=rng)
+            results.append((res, rng.exponential(1.0, 3).tolist()))
+        assert results[0] == results[1]
+
+    def test_agreement_checked_on_every_row(self, monkeypatch):
+        def skewed_last_row(li, p):
+            ages = 1.0 / (li * p)
+            ages[-1] *= 1.0 + 1e-9
+            return ages
+
+        monkeypatch.setattr(optimizer, "_avg_age", skewed_last_row)
+        with pytest.raises(InvariantViolationError):
+            optimal_allocation(1.2, 3, Exponential(1.0), n_random_points=20)
+
+    def test_zero_share_rejected(self):
+        with pytest.raises(ParameterDomainError):
+            priority_frontier(1.5, 3, Exponential(1.0), 1, (0.5,), residual_split=(1.0, 0.0))
 
 
 class TestPriorityFrontier:
