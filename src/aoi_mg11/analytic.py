@@ -15,6 +15,7 @@ agree, as a permanent self-check against transcription errors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -59,10 +60,12 @@ class SystemConfig:
             raise ParameterDomainError("at least one stream is required")
         if any(p <= 0 for p in probs):
             raise ParameterDomainError(f"every stream probability must be > 0, got {probs}")
-        if abs(math.fsum(probs) - 1.0) > _PROB_SUM_TOL:
-            raise ParameterDomainError(
-                f"stream probabilities must sum to 1 (got {math.fsum(probs)!r})"
-            )
+        try:
+            total = math.fsum(probs)
+        except OverflowError:  # finite probabilities whose sum is not
+            total = math.inf
+        if abs(total - 1.0) > _PROB_SUM_TOL:
+            raise ParameterDomainError(f"stream probabilities must sum to 1 (got {total!r})")
 
     @property
     def num_streams(self) -> int:
@@ -79,12 +82,36 @@ class SystemConfig:
 
     def service_beats_arrival(self) -> float:
         """P(lam): probability a service completes before the next arrival."""
-        return self.service.laplace(self.total_rate)
+        p = self.service.laplace(self.total_rate)
+        if p == 0.0:
+            raise ParameterDomainError(f"P(lam) underflows to 0 at total rate {self.total_rate}")
+        return p
 
 
 # Each metric is written once, as a function of the stream rate lam_i,
 # P = P(lam) and ew = E[S e^{-lam S}]; the public functions and age_report
 # evaluate P and ew and call these.
+
+
+def _representable(metric):
+    """Make a metric whose value leaves the float range a ParameterDomainError.
+
+    Every metric is positive. At extreme loads lam_i P(lam) can underflow to
+    0, or a quotient can overflow or underflow; the metric then raises instead
+    of ZeroDivisionError or returning inf or 0.
+    """
+
+    @functools.wraps(metric)
+    def checked(*args):
+        try:
+            value = metric(*args)
+            if 0.0 < value < math.inf:
+                return value
+        except ZeroDivisionError:
+            pass
+        raise ParameterDomainError(f"{metric.__name__.lstrip('_')} is outside the float range at {args}")
+
+    return checked
 
 
 def _avg_age(li: float, p: float) -> float:
@@ -105,15 +132,20 @@ def _mean_interdeparture(li: float, p: float) -> float:
     return 1.0 / (li * p)
 
 
+@_representable
 def _second_moment_interdeparture(li: float, p: float, ew: float) -> float:
+    # 2 / (lam_i P)^2 is the largest per-stream metric: where it is finite,
+    # so are the others (age_report evaluates it first)
     return 2.0 * (-ew / (li * p * p) + 1.0 / (li * li * p * p))
 
 
+@_representable
 def avg_age(cfg: SystemConfig, i: int) -> float:
     """Long-run time-average age of stream i."""
     return _avg_age(cfg.stream_rate(i), cfg.service_beats_arrival())
 
 
+@_representable
 def peak_age(cfg: SystemConfig, i: int) -> float:
     """Long-run average peak age of stream i."""
     ew = cfg.service.exp_weighted_mean(cfg.total_rate)
@@ -172,11 +204,13 @@ def moments_from_mgf(mgf: Callable[[float], float], order: int, h: float = 1e-4)
     return (4.0 * fine - coarse) / 3.0
 
 
+@_representable
 def mean_system_time(cfg: SystemConfig) -> float:
     """E[T] of a delivered update."""
     return _mean_system_time(cfg.service_beats_arrival(), cfg.service.exp_weighted_mean(cfg.total_rate))
 
 
+@_representable
 def mean_interdeparture(cfg: SystemConfig, i: int) -> float:
     """E[Y] for stream i."""
     return _mean_interdeparture(cfg.stream_rate(i), cfg.service_beats_arrival())
@@ -233,8 +267,8 @@ def age_report(cfg: SystemConfig) -> AgeReport:
     rows = []
     for i, prob in enumerate(cfg.stream_probs, start=1):
         li = cfg.stream_rate(i)
-        e_y = _mean_interdeparture(li, p)
         e_y2 = _second_moment_interdeparture(li, p, ew)
+        e_y = _mean_interdeparture(li, p)
         delta = _avg_age(li, p)
         delta_pk = _peak_age(li, p, ew)
         _check_routes("avg_age", i, delta, e_t + e_y2 / (2.0 * e_y))

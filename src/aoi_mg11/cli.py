@@ -8,6 +8,7 @@ failure, 5 validation check failure. Output files are written atomically
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import operator
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import analytic, flowgraph, optimizer, simulator
 from .analytic import SystemConfig
-from .config import RunConfig, SimulationSettings, load_run_config
+from .config import RunConfig, load_run_config
 from .distributions import CONFIG_FIELDS, ServiceDistribution, distribution_from_config
 from .errors import (
     ConditioningTooRareError,
@@ -129,23 +130,13 @@ def cmd_analyze(run_cfg: RunConfig) -> int:
     return 0
 
 
-def _sim_params(
-    system: SystemConfig,
-    sim: SimulationSettings | None,
-    seed_override: int | None,
-    probes: tuple[float, ...] = (),
-) -> simulator.SimParams:
-    if sim is None:
+def _simulation(run_cfg: RunConfig, seed_override: int | None, **changes) -> simulator.SimParams:
+    """The config's simulation settings, with AOI_SEED and any other changes applied."""
+    if run_cfg.simulation is None:
         raise ConfigError("this command requires a 'simulation' section in the config")
-    return simulator.SimParams(
-        cfg=system,
-        max_time=sim.max_time,
-        min_deliveries_per_stream=sim.min_deliveries_per_stream,
-        seed=seed_override if seed_override is not None else sim.seed,
-        warmup_fraction=sim.warmup_fraction,
-        replications=sim.replications,
-        mgf_probes=probes,
-    )
+    if seed_override is not None:
+        changes["seed"] = seed_override
+    return dataclasses.replace(run_cfg.simulation, **changes)
 
 
 def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[dict]:
@@ -161,7 +152,7 @@ def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[dict
 
 
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
-    params = _sim_params(run_cfg.system, run_cfg.simulation, seed_override, run_cfg.mgf_s_values)
+    params = _simulation(run_cfg, seed_override)
     trace_path = trace_path or run_cfg.output.trace_path
     result = simulator.run(params, collect_trace=trace_path is not None)
     _emit_table(_simulate_rows(run_cfg, result), run_cfg.output)
@@ -260,10 +251,11 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None, expect: dict[
     )
     for i in range(1, cfg.num_streams + 1):
         phi = lambda s, i=i: analytic.interdeparture_mgf(cfg, i, s)
-        e_y = analytic.mean_interdeparture(cfg, i)
-        e_y2 = analytic.second_moment_interdeparture(cfg, i)
-        add(f"mean_interdeparture_numeric[i={i}]", analytic.moments_from_mgf(phi, 1), e_y, 1e-5 * abs(e_y))
-        add(f"second_moment_numeric[i={i}]", analytic.moments_from_mgf(phi, 2), e_y2, 1e-5 * abs(e_y2))
+        for name, order, ref in (
+            ("mean_interdeparture_numeric", 1, analytic.mean_interdeparture(cfg, i)),
+            ("second_moment_numeric", 2, analytic.second_moment_interdeparture(cfg, i)),
+        ):
+            add(f"{name}[i={i}]", analytic.moments_from_mgf(phi, order), ref, 1e-5 * abs(ref))
 
     # dual-route self-check built into age_report
     try:
@@ -277,58 +269,39 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None, expect: dict[
     sim_settings = run_cfg.simulation
     mc_seed = seed_override if seed_override is not None else (sim_settings.seed if sim_settings else 0)
     rng = np.random.default_rng(np.random.SeedSequence(mc_seed).spawn(1)[0])
-    lam = cfg.total_rate
     clock_refs = {
-        "A": lambda s: analytic.clock_mgf_A(cfg, s),
-        "Z": lambda s: analytic.clock_mgf_A(cfg, s),
-        "B": lambda s: analytic.clock_mgf_B(cfg, s),
-        "V": lambda s: analytic.clock_mgf_B(cfg, s),
-        "U": lambda s: analytic.system_time_mgf(cfg, s),
+        "A": analytic.clock_mgf_A,
+        "Z": analytic.clock_mgf_A,
+        "B": analytic.clock_mgf_B,
+        "V": analytic.clock_mgf_B,
+        "U": analytic.system_time_mgf,
     }
     clock_names = ["A", "B", "U"] + (["V", "Z"] if cfg.num_streams > 1 else [])
     for which in clock_names:
         stats = simulator.clock_conditional_sampler(cfg, 1, which, 200_000, rng)
         for s, (mean, se) in stats.items():
-            ref = clock_refs[which](s)
-            add(f"clock_{which}_mc[s={s}]", mean, ref, 5.0 * se + 1e-12)
+            add(f"clock_{which}_mc[s={s}]", mean, clock_refs[which](cfg, s), 5.0 * se + 1e-12)
 
     # simulation vs analytic ages, delivery rates, renewal identity, MGF probes
     if sim_settings is not None:
-        params = _sim_params(cfg, sim_settings, seed_override, run_cfg.mgf_s_values)
-        result = simulator.run(params)
+        result = simulator.run(_simulation(run_cfg, seed_override))
         report = analytic.age_report(cfg)
         p_lam = cfg.service_beats_arrival()
-        for s_stats, ref in zip(result.streams, report.streams):
-            i = s_stats.stream
+        for st, ref in zip(result.streams, report.streams):
+            i = st.stream
             exp_age = expect.get(f"avg_age_{i}", ref.avg_age)
             exp_peak = expect.get(f"peak_age_{i}", ref.peak_age)
             known_expect.update({f"avg_age_{i}", f"peak_age_{i}"})
-            add(
-                f"sim_avg_age[i={i}]",
-                s_stats.avg_age,
-                exp_age,
-                0.015 * abs(exp_age) + 4.0 * s_stats.avg_age_se,
-            )
-            add(
-                f"sim_peak_age[i={i}]",
-                s_stats.peak_age,
-                exp_peak,
-                0.015 * abs(exp_peak) + 4.0 * s_stats.peak_age_se,
-            )
             rate_ref = cfg.stream_rate(i) * p_lam
-            add(
-                f"sim_delivery_rate[i={i}]",
-                s_stats.delivery_rate,
-                rate_ref,
-                0.01 * rate_ref + 3.0 * s_stats.delivery_rate_se,
-            )
-            add(
-                f"renewal_identity[i={i}]",
-                s_stats.delivery_rate * s_stats.mean_interdeparture,
-                1.0,
-                0.01,
-            )
-            for s, (mean, se) in s_stats.mgf_probes.items():
+            # name, observed, expected, relative tolerance, k standard errors
+            for name, observed, expected, rel, k_se in (
+                ("sim_avg_age", st.avg_age, exp_age, 0.015, 4.0 * st.avg_age_se),
+                ("sim_peak_age", st.peak_age, exp_peak, 0.015, 4.0 * st.peak_age_se),
+                ("sim_delivery_rate", st.delivery_rate, rate_ref, 0.01, 3.0 * st.delivery_rate_se),
+            ):
+                add(f"{name}[i={i}]", observed, expected, rel * abs(expected) + k_se)
+            add(f"renewal_identity[i={i}]", st.delivery_rate * st.mean_interdeparture, 1.0, 0.01)
+            for s, (mean, se) in st.mgf_probes.items():
                 ref_val = analytic.interdeparture_mgf(cfg, i, s)
                 add(f"sim_mgf_probe[i={i},s={s}]", mean, ref_val, 0.01 * abs(ref_val) + 5.0 * se)
 
@@ -425,7 +398,7 @@ def cmd_sweep(run_cfg: RunConfig, param: str, grid: list[float], with_sim: bool,
         report = analytic.age_report(cfg)
         sources = [("analytic", report.streams, report.total_avg_age, report.total_peak_age)]
         if with_sim:
-            result = simulator.run(_sim_params(cfg, run_cfg.simulation, seed_override))
+            result = simulator.run(_simulation(run_cfg, seed_override, cfg=cfg, mgf_probes=()))
             sources.append(("simulated", result.streams, None, None))
         for source, streams, delta_tot, delta_peak_tot in sources:
             for s in streams:
@@ -483,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
             seed_override = int(env_seed)
         except ValueError:
             print(f"AOI_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+            return EXIT_CONFIG
+        if seed_override < 0:
+            print(f"AOI_SEED must be >= 0, got {seed_override}", file=sys.stderr)
             return EXIT_CONFIG
 
     try:

@@ -13,19 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analytic import SystemConfig
-from .distributions import distribution_from_config
+from .distributions import distribution_from_config, finite_number
 from .errors import ConfigError, ParameterDomainError
+from .simulator import SimParams
 
-__all__ = ["RunConfig", "SimulationSettings", "OutputSettings", "load_run_config"]
-
-
-@dataclass(frozen=True)
-class SimulationSettings:
-    max_time: float | None
-    min_deliveries_per_stream: int | None
-    seed: int
-    replications: int
-    warmup_fraction: float
+__all__ = ["RunConfig", "OutputSettings", "load_run_config"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,7 @@ class OutputSettings:
 @dataclass(frozen=True)
 class RunConfig:
     system: SystemConfig
-    simulation: SimulationSettings | None
+    simulation: SimParams | None
     mgf_s_values: tuple[float, ...]
     output: OutputSettings
 
@@ -49,17 +41,22 @@ def _require_object(value, where: str) -> dict:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed
+def _reject_unknown(obj: dict, allowed, where: str) -> None:
+    extra = set(obj) - set(allowed)
     if extra:
         raise ConfigError(f"unknown field(s) {sorted(extra)} in {where}")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be an array")
+    return tuple(finite_number(v, f"{where}[{k}]") for k, v in enumerate(value))
 
 
 def _parse_system(obj: dict) -> SystemConfig:
@@ -76,21 +73,24 @@ def _parse_system(obj: dict) -> SystemConfig:
     if has_probs:
         if "total_rate" not in obj:
             raise ConfigError("system.total_rate is required with stream_probs")
-        total_rate = _number(obj, "total_rate", "system")
+        total_rate = finite_number(obj["total_rate"], "system.total_rate")
         probs = obj["stream_probs"]
         if not isinstance(probs, list) or not probs:
             raise ConfigError("system.stream_probs must be a non-empty array")
-        probs = tuple(float(p) for p in probs)
+        probs = _numbers(probs, "system.stream_probs")
     else:
         rates = obj["stream_rates"]
         if not isinstance(rates, list) or not rates:
             raise ConfigError("system.stream_rates must be a non-empty array")
-        rates = [float(r) for r in rates]
+        rates = _numbers(rates, "system.stream_rates")
         if any(r <= 0 for r in rates):
             raise ConfigError("system.stream_rates must all be > 0")
-        total = math.fsum(rates)
+        try:
+            total = math.fsum(rates)
+        except OverflowError as exc:
+            raise ConfigError("system.stream_rates: the total rate overflows") from exc
         if "total_rate" in obj:
-            declared = _number(obj, "total_rate", "system")
+            declared = finite_number(obj["total_rate"], "system.total_rate")
             if abs(declared - total) > 1e-9 * max(1.0, total):
                 raise ConfigError(
                     f"system.total_rate {declared!r} does not match sum of stream_rates {total!r}"
@@ -104,61 +104,35 @@ def _parse_system(obj: dict) -> SystemConfig:
         raise ConfigError(f"system: {exc}") from exc
 
 
-def _parse_simulation(obj: dict) -> SimulationSettings:
-    _reject_unknown(
-        obj,
-        {"max_time", "min_deliveries_per_stream", "seed", "replications", "warmup_fraction"},
-        "simulation",
-    )
-    has_time = "max_time" in obj
-    has_count = "min_deliveries_per_stream" in obj
-    if has_time == has_count:
-        raise ConfigError(
-            "simulation: exactly one of max_time / min_deliveries_per_stream must be given"
-        )
-    max_time = _number(obj, "max_time", "simulation") if has_time else None
-    min_count = None
-    if has_count:
-        v = obj["min_deliveries_per_stream"]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ConfigError("simulation.min_deliveries_per_stream must be a positive integer")
-        min_count = v
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("simulation.seed must be an integer")
-    reps = obj.get("replications", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise ConfigError("simulation.replications must be a positive integer")
-    warmup = _number(obj, "warmup_fraction", "simulation") if "warmup_fraction" in obj else 0.05
-    if not 0.0 <= warmup < 1.0:
-        raise ConfigError("simulation.warmup_fraction must be in [0, 1)")
-    if max_time is not None and max_time <= 0:
-        raise ConfigError("simulation.max_time must be > 0")
-    return SimulationSettings(
-        max_time=max_time,
-        min_deliveries_per_stream=min_count,
-        seed=seed,
-        replications=reps,
-        warmup_fraction=warmup,
-    )
+# The JSON type of each simulation field; SimParams owns the defaults and ranges.
+_SIMULATION_FIELDS = {
+    "max_time": finite_number,
+    "min_deliveries_per_stream": _integer,
+    "seed": _integer,
+    "replications": _integer,
+    "warmup_fraction": finite_number,
+}
+
+
+def _parse_simulation(obj: dict, system: SystemConfig, probes: tuple[float, ...]) -> SimParams:
+    _reject_unknown(obj, _SIMULATION_FIELDS, "simulation")
+    fields = {key: _SIMULATION_FIELDS[key](v, f"simulation.{key}") for key, v in obj.items()}
+    try:
+        return SimParams(system, mgf_probes=probes, **fields)
+    except ParameterDomainError as exc:
+        raise ConfigError(f"simulation: {exc}") from exc
 
 
 def _parse_probes(obj: dict) -> tuple[float, ...]:
     _reject_unknown(obj, {"mgf_s_values"}, "probes")
-    vals = obj.get("mgf_s_values", [])
-    if not isinstance(vals, list):
-        raise ConfigError("probes.mgf_s_values must be an array")
-    out = []
+    vals = _numbers(obj.get("mgf_s_values", []), "probes.mgf_s_values")
     for v in vals:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"probes.mgf_s_values entries must be numbers, got {v!r}")
         if v > 0:
             raise ConfigError(
                 f"probes.mgf_s_values must be <= 0 (empirical MGF checks are only "
                 f"stable for non-positive s), got {v}"
             )
-        out.append(float(v))
-    return tuple(out)
+    return vals
 
 
 def _parse_output(obj: dict) -> OutputSettings:
@@ -179,21 +153,23 @@ def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a config file; raises ConfigError on any problem."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer literal too long, or nesting too deep
+        raise ConfigError(f"{path}: {exc}") from exc
 
     root = _require_object(data, "config root")
     _reject_unknown(root, {"system", "simulation", "probes", "output"}, "config root")
     if "system" not in root:
         raise ConfigError("config: the 'system' section is required")
     system = _parse_system(_require_object(root["system"], "system"))
+    probes = _parse_probes(_require_object(root.get("probes", {}), "probes"))
     simulation = None
     if "simulation" in root:
-        simulation = _parse_simulation(_require_object(root["simulation"], "simulation"))
-    probes = _parse_probes(_require_object(root.get("probes", {}), "probes"))
+        simulation = _parse_simulation(_require_object(root["simulation"], "simulation"), system, probes)
     output = _parse_output(_require_object(root.get("output", {}), "output"))
     return RunConfig(system=system, simulation=simulation, mgf_s_values=probes, output=output)

@@ -23,6 +23,7 @@ __all__ = [
     "Uniform",
     "CONFIG_FIELDS",
     "distribution_from_config",
+    "finite_number",
 ]
 
 
@@ -67,7 +68,10 @@ class Exponential(ServiceDistribution):
     def exp_weighted_mean(self, s: float) -> float:
         if s <= -self.rate:
             raise ParameterDomainError(f"argument {s} <= -rate {-self.rate}")
-        return self.rate / (self.rate + s) ** 2
+        try:
+            return self.rate / (self.rate + s) ** 2
+        except (OverflowError, ZeroDivisionError) as exc:  # (rate + s)^2 leaves the float range
+            raise ParameterDomainError(f"E[S e^(-sS)] at s={s} is outside the float range") from exc
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
@@ -140,11 +144,22 @@ def _em1_over(x: float) -> float:
     return -math.expm1(-x) / x
 
 
+# Taylor coefficients of _dem1_over, -(-1)^k (k+1)/(k+2)!, highest order
+# first: they fall below 1e-17 of the leading term by k = 15 when |x| < 1/2.
+_DEM1_SERIES = tuple(-((-1) ** k) * (k + 1) / math.factorial(k + 2) for k in reversed(range(16)))
+
+
 def _dem1_over(x: float) -> float:
-    """d/dx [(1 - e^{-x}) / x] = (e^{-x}(1 + x) - 1) / x^2, stable near 0."""
-    if abs(x) < 1e-4:
-        # series: -1/2 + x/3 - x^2/8 + x^3/30
-        return -0.5 + x / 3.0 - x * x / 8.0 + x ** 3 / 30.0
+    """d/dx [(1 - e^{-x}) / x] = (e^{-x}(1 + x) - 1) / x^2, stable near 0.
+
+    The closed form loses about 2e-16 / |e^{-x}(1 + x) - 1| to cancellation,
+    so below |x| = 1/2 the Taylor series is summed instead.
+    """
+    if abs(x) < 0.5:
+        acc = 0.0
+        for c in _DEM1_SERIES:
+            acc = acc * x + c
+        return acc
     return (math.exp(-x) * (1.0 + x) - 1.0) / (x * x)
 
 
@@ -212,6 +227,18 @@ _CONFIG_CLASSES = {
 }
 
 
+def finite_number(value, where: str) -> float:
+    """A config number as a float: no bool, string, NaN, Infinity or int beyond the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{where} must be finite, got {value!r}")
+
+
 def distribution_from_config(spec: dict) -> ServiceDistribution:
     """Build a distribution from its config spelling, e.g. {"type": "gamma", ...}.
 
@@ -221,7 +248,7 @@ def distribution_from_config(spec: dict) -> ServiceDistribution:
     if not isinstance(spec, dict):
         raise ConfigError(f"service spec must be an object, got {type(spec).__name__}")
     kind = spec.get("type")
-    if kind not in CONFIG_FIELDS:
+    if not isinstance(kind, str) or kind not in CONFIG_FIELDS:
         raise ConfigError(f"unknown service type {kind!r}; expected one of {sorted(CONFIG_FIELDS)}")
     fields = CONFIG_FIELDS[kind]
     extra = set(spec) - {"type", *fields}
@@ -230,12 +257,7 @@ def distribution_from_config(spec: dict) -> ServiceDistribution:
     missing = [f for f in fields if f not in spec]
     if missing:
         raise ConfigError(f"service spec of type {kind!r} missing field(s) {missing}")
-    kwargs = {}
-    for f in fields:
-        v = spec[f]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"service field {f!r} must be a number, got {v!r}")
-        kwargs[f] = float(v)
+    kwargs = {f: finite_number(spec[f], f"service field {f!r}") for f in fields}
     try:
         return _CONFIG_CLASSES[kind](**kwargs)
     except ParameterDomainError as exc:

@@ -61,8 +61,8 @@ class SimParams:
             raise ParameterDomainError(
                 "exactly one of max_time / min_deliveries_per_stream must be set"
             )
-        if has_time and not self.max_time > 0:
-            raise ParameterDomainError(f"max_time must be > 0, got {self.max_time}")
+        if has_time and not 0 < self.max_time < math.inf:
+            raise ParameterDomainError(f"max_time must be finite and > 0, got {self.max_time}")
         if has_count and self.min_deliveries_per_stream < 1:
             raise ParameterDomainError(
                 f"min_deliveries_per_stream must be >= 1, got {self.min_deliveries_per_stream}"
@@ -71,6 +71,8 @@ class SimParams:
             raise ParameterDomainError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
             )
+        if self.seed < 0:
+            raise ParameterDomainError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
             raise ParameterDomainError(f"replications must be >= 1, got {self.replications}")
         if any(s > 0 for s in self.mgf_probes):

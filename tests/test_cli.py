@@ -203,6 +203,89 @@ class TestSimulate:
         cfg = write_config(tmp_path, system=REF_SYSTEM)
         assert main(["simulate", "-c", cfg]) == 2
 
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, system=REF_SYSTEM, simulation={"max_time": 10.0, "seed": -1})
+        assert main(["simulate", "-c", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: simulation: seed must be >= 0")
+        monkeypatch.setenv("AOI_SEED", "-1")
+        assert main(["validate", "-c", write_config(tmp_path, name="v.json", system=REF_SYSTEM)]) == 2
+        assert capsys.readouterr().err == "AOI_SEED must be >= 0, got -1\n"
+
+
+def _system(**changes):
+    return {**REF_SYSTEM, **changes}
+
+
+# Every numeric config value, scalar or array entry, is a finite JSON number,
+# and the simulation section's ranges are those of SimParams.
+CONFIG_VALUE_ERRORS = {
+    "probs_string": {"system": _system(stream_probs=["x", 0.5])},
+    "probs_object": {"system": _system(stream_probs=[{"a": 1}, 0.5])},
+    "probs_numeric_strings": {"system": _system(stream_probs=["0.5", "0.5"])},
+    "probs_bool": {"system": _system(stream_probs=[True])},
+    "probs_overflow": {"system": _system(stream_probs=[1e308, 1e308])},
+    "rates_string": {"system": {"stream_rates": ["x", 1.0], "service": REF_SYSTEM["service"]}},
+    "rates_bool": {"system": {"stream_rates": [True, 1.0], "service": REF_SYSTEM["service"]}},
+    "rates_overflow": {"system": {"stream_rates": [1e308, 1e308], "service": REF_SYSTEM["service"]}},
+    "service_huge_int": {"system": _system(service={"type": "exponential", "rate": 10**400})},
+    "service_type_list": {"system": _system(service={"type": ["exponential"], "rate": 1.0})},
+    "probe_nan": {"system": REF_SYSTEM, "probes": {"mgf_s_values": [math.nan]}},
+    "probe_minus_infinity": {"system": REF_SYSTEM, "probes": {"mgf_s_values": [-math.inf]}},
+    "both_stop_rules": {
+        "system": REF_SYSTEM,
+        "simulation": {"max_time": 10.0, "min_deliveries_per_stream": 5},
+    },
+    "no_stop_rule": {"system": REF_SYSTEM, "simulation": {"seed": 1}},
+    "max_time_zero": {"system": REF_SYSTEM, "simulation": {"max_time": 0}},
+    "max_time_nan": {"system": REF_SYSTEM, "simulation": {"max_time": math.nan}},
+    "count_zero": {"system": REF_SYSTEM, "simulation": {"min_deliveries_per_stream": 0}},
+    "count_fraction": {"system": REF_SYSTEM, "simulation": {"min_deliveries_per_stream": 2.5}},
+    "replications_zero": {"system": REF_SYSTEM, "simulation": {"max_time": 10.0, "replications": 0}},
+    "replications_bool": {"system": REF_SYSTEM, "simulation": {"max_time": 10.0, "replications": True}},
+    "warmup_one": {"system": REF_SYSTEM, "simulation": {"max_time": 10.0, "warmup_fraction": 1.0}},
+    "seed_string": {"system": REF_SYSTEM, "simulation": {"max_time": 10.0, "seed": "x"}},
+}
+
+
+@pytest.mark.parametrize("sections", CONFIG_VALUE_ERRORS.values(), ids=CONFIG_VALUE_ERRORS)
+def test_config_value_errors(tmp_path, capsys, sections):
+    assert main(["analyze", "-c", write_config(tmp_path, **sections)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_infinite_max_time_rejected_before_simulating(tmp_path, capsys):
+    # 1e400 parses as inf; aoi simulate would never return
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": REF_SYSTEM}).replace("}}", '}}, "simulation": {"max_time": 1e400}'))
+    assert main(["analyze", "-c", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: simulation.max_time must be finite")
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        _system(service={"type": "deterministic", "value": 1000.0}),
+        _system(service={"type": "gamma", "shape": 1e300, "scale": 1.0}),
+        _system(stream_probs=[1e-320, 1.0]),
+        _system(total_rate=1e-320, stream_probs=[1.0]),
+        _system(total_rate=1e-160, stream_probs=[1.0]),
+        _system(total_rate=1e300, service={"type": "exponential", "rate": 1e300}),
+    ],
+    ids=[
+        "p_lam_underflow_deterministic",
+        "p_lam_underflow_gamma",
+        "tiny_share",
+        "tiny_rate",
+        "overflowing_second_moment",
+        "overflowing_exponential_weighted_mean",
+    ],
+)
+def test_values_outside_the_float_range_are_domain_errors(tmp_path, capsys, system):
+    assert main(["analyze", "-c", write_config(tmp_path, system=system)]) == 3
+    assert capsys.readouterr().err.startswith("domain error: ")
+
 
 class TestValidate:
     def validate_cfg(self, tmp_path, report=None, probes=(-0.5,)):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from aoi_mg11.distributions import (
     Exponential,
     Gamma,
     Uniform,
+    _dem1_over,
     distribution_from_config,
 )
 from aoi_mg11.errors import ConfigError, ParameterDomainError
@@ -195,3 +197,15 @@ class TestConfigSpelling:
     def test_bad_parameter_value(self):
         with pytest.raises(ConfigError):
             distribution_from_config({"type": "deterministic", "value": 0.0})
+
+
+def test_dem1_over_relative_error_against_50_digits():
+    # (e^{-x}(1 + x) - 1) / x^2 on a log grid of +-x from 1e-8 to 10; the
+    # closed form alone loses digits to cancellation for small |x|
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for k in range(361):
+            for x in (10.0 ** (-8 + k / 40), -(10.0 ** (-8 + k / 40))):
+                d = Decimal(x)
+                ref = ((-d).exp() * (1 + d) - 1) / (d * d)
+                assert abs((Decimal(_dem1_over(x)) - ref) / ref) <= Decimal("1e-14"), x

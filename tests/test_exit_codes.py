@@ -1,0 +1,98 @@
+"""The exit-code contract: ``aoi analyze`` on any JSON config returns 0, 2, 3,
+4 or 5 and raises nothing."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aoi_mg11.cli import main
+
+# JSON values a number field must reject
+WILD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=1),
+    st.integers(-3, 3),
+    st.just(10**400),
+)
+# positive floats across the whole exponent range, subnormals included
+POSITIVE = st.one_of(st.floats(1e-3, 1e3), st.floats(0.0, 1.7976931348623157e308, exclude_min=True))
+
+
+def _mostly(valid, rare):
+    """``valid`` nine times in ten, so that most examples get past parsing."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 9 else valid)
+
+
+FIELD = _mostly(POSITIVE, WILD)
+FIELDS = _mostly(st.lists(FIELD, min_size=1, max_size=4), WILD)
+# split probabilities that sum to 1, including a share too small to add to 1.0
+PROBS = st.one_of(
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4).map(lambda w: [x / math.fsum(w) for x in w]),
+    st.floats(0.0, 1e-13, exclude_min=True).map(lambda x: [x, 1.0]),
+    FIELDS,
+)
+
+
+def _service(kind, *fields):
+    return st.fixed_dictionaries({"type": st.just(kind), **{f: FIELD for f in fields}})
+
+
+SERVICE = _mostly(
+    st.one_of(
+        _service("exponential", "rate"),
+        _service("gamma", "shape", "scale"),
+        _service("deterministic", "value"),
+        _service("uniform", "lower", "upper"),
+    ),
+    WILD,
+)
+SYSTEM = st.one_of(
+    st.fixed_dictionaries({"total_rate": FIELD, "stream_probs": PROBS, "service": SERVICE}),
+    st.fixed_dictionaries(
+        {"stream_rates": FIELDS, "service": SERVICE},
+        optional={"total_rate": FIELD},
+    ),
+)
+INTEGER = _mostly(st.integers(-1, 10**6), WILD)
+SIMULATION = st.fixed_dictionaries(
+    {},
+    optional={
+        "max_time": FIELD,
+        "min_deliveries_per_stream": INTEGER,
+        "seed": INTEGER,
+        "replications": INTEGER,
+        "warmup_fraction": FIELD,
+    },
+)
+CONFIG = st.fixed_dictionaries(
+    {"system": SYSTEM},
+    optional={
+        "simulation": SIMULATION,
+        "probes": st.fixed_dictionaries({}, optional={"mgf_s_values": FIELDS}),
+        # no string paths, so nothing is written
+        "output": st.fixed_dictionaries(
+            {}, optional={"format": _mostly(st.sampled_from(["csv", "json"]), WILD)}
+        ),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=CONFIG)
+def test_analyze_returns_a_documented_exit_code(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["analyze", "-c", path]) in (0, 2, 3, 4, 5)

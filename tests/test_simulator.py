@@ -160,6 +160,11 @@ class TestStopRules:
         with pytest.raises(ParameterDomainError):
             SimParams(REF, max_time=10.0, stream_substreams=(0, 1))
 
+    @pytest.mark.parametrize("changes", [{"max_time": math.inf}, {"max_time": math.nan}, {"seed": -1}])
+    def test_non_finite_horizon_and_negative_seed_rejected(self, changes):
+        with pytest.raises(ParameterDomainError):
+            SimParams(REF, **{"max_time": 10.0, **changes})
+
 
 SUM_FIELDS = ("elapsed", "age_area", "peaks_sum", "y_sum", "y2_sum", "t_sum", "t2_sum")
 
