@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .distributions import ServiceDistribution
 from .errors import InvariantViolationError, ParameterDomainError, PoleError
@@ -37,6 +40,7 @@ __all__ = [
     "mean_system_time",
     "mean_interdeparture",
     "second_moment_interdeparture",
+    "age_columns",
     "age_report",
 ]
 
@@ -52,20 +56,9 @@ class SystemConfig:
     service: ServiceDistribution
 
     def __post_init__(self):
-        if not (self.total_rate > 0 and math.isfinite(self.total_rate)):
-            raise ParameterDomainError(f"total_rate must be > 0, got {self.total_rate}")
         probs = tuple(float(p) for p in self.stream_probs)
         object.__setattr__(self, "stream_probs", probs)
-        if len(probs) < 1:
-            raise ParameterDomainError("at least one stream is required")
-        if any(p <= 0 for p in probs):
-            raise ParameterDomainError(f"every stream probability must be > 0, got {probs}")
-        try:
-            total = math.fsum(probs)
-        except OverflowError:  # finite probabilities whose sum is not
-            total = math.inf
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ParameterDomainError(f"stream probabilities must sum to 1 (got {total!r})")
+        check_systems(np.array([self.total_rate], dtype=float), np.array([probs]))
 
     @property
     def num_streams(self) -> int:
@@ -82,15 +75,40 @@ class SystemConfig:
 
     def service_beats_arrival(self) -> float:
         """P(lam): probability a service completes before the next arrival."""
-        p = self.service.laplace(self.total_rate)
-        if p == 0.0:
-            raise ParameterDomainError(f"P(lam) underflows to 0 at total rate {self.total_rate}")
-        return p
+        return beats_arrival(self.service, self.total_rate)
+
+
+def check_systems(total_rates: np.ndarray, stream_probs: np.ndarray) -> None:
+    """SystemConfig's checks on the systems total_rates[g], split by the rows stream_probs[g]."""
+    bad = ~((total_rates > 0) & np.isfinite(total_rates))
+    if bad.any():
+        raise ParameterDomainError(f"total_rate must be > 0, got {total_rates[bad][0].item()}")
+    if stream_probs.shape[1] < 1:
+        raise ParameterDomainError("at least one stream is required")
+    bad = (stream_probs <= 0).any(axis=1)
+    if bad.any():
+        probs = tuple(stream_probs[bad][0].tolist())
+        raise ParameterDomainError(f"every stream probability must be > 0, got {probs}")
+    for probs in stream_probs.tolist():
+        try:
+            total = math.fsum(probs)
+        except OverflowError:  # finite probabilities whose sum is not
+            total = math.inf
+        if abs(total - 1.0) > _PROB_SUM_TOL:
+            raise ParameterDomainError(f"stream probabilities must sum to 1 (got {total!r})")
+
+
+def beats_arrival(service: ServiceDistribution, total_rate: float) -> float:
+    """P(lam) of a service law at total rate lam; 0 is outside the float range."""
+    p = service.laplace(total_rate)
+    if p == 0.0:
+        raise ParameterDomainError(f"P(lam) underflows to 0 at total rate {total_rate}")
+    return p
 
 
 # Each metric is written once, as a function of the stream rate lam_i,
-# P = P(lam) and ew = E[S e^{-lam S}]; the public functions and age_report
-# evaluate P and ew and call these.
+# P = P(lam) and ew = E[S e^{-lam S}], for floats and arrays alike; the
+# public functions and age_columns evaluate P and ew and call these.
 
 
 def _representable(metric):
@@ -132,10 +150,9 @@ def _mean_interdeparture(li: float, p: float) -> float:
     return 1.0 / (li * p)
 
 
-@_representable
 def _second_moment_interdeparture(li: float, p: float, ew: float) -> float:
     # 2 / (lam_i P)^2 is the largest per-stream metric: where it is finite,
-    # so are the others (age_report evaluates it first)
+    # so are the others (age_columns checks its range alone)
     return 2.0 * (-ew / (li * p * p) + 1.0 / (li * li * p * p))
 
 
@@ -219,7 +236,7 @@ def mean_interdeparture(cfg: SystemConfig, i: int) -> float:
 def second_moment_interdeparture(cfg: SystemConfig, i: int) -> float:
     """E[Y^2] for stream i."""
     ew = cfg.service.exp_weighted_mean(cfg.total_rate)
-    return _second_moment_interdeparture(cfg.stream_rate(i), cfg.service_beats_arrival(), ew)
+    return _representable(_second_moment_interdeparture)(cfg.stream_rate(i), cfg.service_beats_arrival(), ew)
 
 
 @dataclass(frozen=True)
@@ -243,55 +260,63 @@ class AgeReport:
 
 
 _DUAL_ROUTE_TOL = 1e-9
+# age_columns' messages: {0} is the stream, then the values the check compares
+_RANGE = "second_moment_interdeparture is outside the float range at ({1!r}, {2!r}, {3!r})"
+_ROUTES = " stream {0}: direct formula {1!r} disagrees with moment decomposition {2!r}"
+_PEAK = "peak age {1!r} not above average age {2!r} for stream {0}"
 
 
-def _check_routes(metric: str, i: int, direct: float, decomposed: float) -> None:
-    if abs(direct - decomposed) > _DUAL_ROUTE_TOL * max(abs(direct), 1.0):
-        raise InvariantViolationError(
-            f"{metric} stream {i}: direct formula {direct!r} disagrees with moment decomposition {decomposed!r}"
+def _disagree(direct, decomposed):
+    return np.abs(direct - decomposed) > _DUAL_ROUTE_TOL * np.maximum(np.abs(direct), 1.0)
+
+
+def age_columns(rates: np.ndarray, p: np.ndarray, ew: np.ndarray) -> dict[str, np.ndarray]:
+    """Each StreamMetrics metric (G x M) and AgeReport total (G) of G systems with M streams.
+
+    System g has stream rates rates[g], P(lam) = p[g] and E[S e^{-lam S}] = ew[g]. Each age is computed
+    twice, by the direct closed form and by the sawtooth moment decomposition (E[T] + E[Y^2]/(2 E[Y]) for
+    the average, E[T] + E[Y] for the peak); the two must agree to 1e-9 relative. The peak age must exceed
+    the average, or equal it where E[T] is below 2^-53 of it and so rounds away. E[Y^2] must lie in the
+    float range. The first element, in row order, to fail a check raises that check's error.
+    """
+    p, ew = p[:, None], ew[:, None]
+    with np.errstate(all="ignore"):  # values outside the float range fail the first check
+        e_t = _mean_system_time(p, ew)
+        e_y2 = _second_moment_interdeparture(rates, p, ew)
+        e_y = _mean_interdeparture(rates, p)
+        delta = _avg_age(rates, p)
+        delta_pk = _peak_age(rates, p, ew)
+        avg_route, peak_route = e_t + e_y2 / (2.0 * e_y), e_t + e_y
+        rounds_away = (delta_pk == delta) & (e_t / delta < 2.0**-53)
+        # (where it fails, error, message, values compared), in the order an element meets them
+        checks = (
+            (~((0.0 < e_y2) & (e_y2 < math.inf)), ParameterDomainError, _RANGE, (rates, p, ew)),
+            (_disagree(delta, avg_route), InvariantViolationError, "avg_age" + _ROUTES, (delta, avg_route)),
+            (_disagree(delta_pk, peak_route), InvariantViolationError, "peak_age" + _ROUTES, (delta_pk, peak_route)),
+            (~((delta_pk > delta) | rounds_away), InvariantViolationError, _PEAK, (delta_pk, delta)),
         )
+    bad = functools.reduce(operator.or_, (check[0] for check in checks))
+    if bad.any():
+        g, j = np.unravel_index(np.argmax(bad), bad.shape)
+        _, error, message, values = next(check for check in checks if check[0][g, j])
+        raise error(message.format(j + 1, *(np.broadcast_to(v, bad.shape)[g, j].item() for v in values)))
+    return {
+        "avg_age": delta,
+        "peak_age": delta_pk,
+        "delivery_rate": 1.0 / e_y,
+        "mean_system_time": np.repeat(e_t, rates.shape[1], axis=1),
+        "mean_interdeparture": e_y,
+        "second_moment_interdeparture": e_y2,
+        "total_avg_age": np.array([math.fsum(row) for row in delta.tolist()]),
+        "total_peak_age": np.array([math.fsum(row) for row in delta_pk.tolist()]),
+    }
 
 
 def age_report(cfg: SystemConfig) -> AgeReport:
-    """All per-stream metrics plus totals.
-
-    Each age is computed twice: from the direct closed form and from the
-    sawtooth moment decomposition (E[T] + E[Y^2]/(2 E[Y]) for the average,
-    E[T] + E[Y] for the peak). Disagreement beyond 1e-9 relative means a
-    formula was transcribed wrong and raises InvariantViolationError.
-    P(lam) and E[S e^{-lam S}] are evaluated once for all streams.
-    """
-    p = cfg.service_beats_arrival()
-    ew = cfg.service.exp_weighted_mean(cfg.total_rate)
-    e_t = _mean_system_time(p, ew)
-    rows = []
-    for i, prob in enumerate(cfg.stream_probs, start=1):
-        li = cfg.stream_rate(i)
-        e_y2 = _second_moment_interdeparture(li, p, ew)
-        e_y = _mean_interdeparture(li, p)
-        delta = _avg_age(li, p)
-        delta_pk = _peak_age(li, p, ew)
-        _check_routes("avg_age", i, delta, e_t + e_y2 / (2.0 * e_y))
-        _check_routes("peak_age", i, delta_pk, e_t + e_y)
-        if not delta_pk > delta:
-            raise InvariantViolationError(
-                f"peak age {delta_pk!r} not above average age {delta!r} for stream {i}"
-            )
-        rows.append(
-            StreamMetrics(
-                stream=i,
-                rate=li,
-                prob=prob,
-                avg_age=delta,
-                peak_age=delta_pk,
-                delivery_rate=1.0 / e_y,
-                mean_system_time=e_t,
-                mean_interdeparture=e_y,
-                second_moment_interdeparture=e_y2,
-            )
-        )
-    return AgeReport(
-        streams=tuple(rows),
-        total_avg_age=math.fsum(r.avg_age for r in rows),
-        total_peak_age=math.fsum(r.peak_age for r in rows),
-    )
+    """All per-stream metrics plus totals: age_columns on the one system."""
+    rates = cfg.total_rate * np.array([cfg.stream_probs])
+    p, ew = cfg.service_beats_arrival(), cfg.service.exp_weighted_mean(cfg.total_rate)
+    columns = age_columns(rates, np.array([p]), np.array([ew]))
+    totals = [columns.pop(name).item() for name in ("total_avg_age", "total_peak_age")]
+    per_stream = zip(rates[0].tolist(), cfg.stream_probs, *(c[0].tolist() for c in columns.values()))
+    return AgeReport(tuple(StreamMetrics(i, *row) for i, row in enumerate(per_stream, start=1)), *totals)

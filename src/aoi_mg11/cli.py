@@ -23,8 +23,9 @@ import numpy as np
 from . import analytic, flowgraph, optimizer, simulator
 from .analytic import SystemConfig
 from .config import RunConfig, load_run_config
-from .distributions import CONFIG_FIELDS, ServiceDistribution, distribution_from_config
+from .distributions import CONFIG_FIELDS, ServiceDistribution, distribution_from_config, finite_number
 from .errors import (
+    AoiError,
     ConditioningTooRareError,
     ConfigError,
     DivergenceError,
@@ -55,6 +56,9 @@ _COLUMNS = tuple(column for _, column in _METRICS)
 _COLUMNS_SE = tuple(name for column in _COLUMNS for name in (column, column + "_se"))
 _metric_values = operator.attrgetter(*(field for field, _ in _METRICS))
 _metric_values_se = operator.attrgetter(*(name for field, _ in _METRICS for name in (field, field + "_se")))
+_SWEEP_COLUMNS = ("param", "value", "stream", "source", *_COLUMNS, "delta_tot", "delta_peak_tot")
+# An analytic sweep row, every column of a known type; "%.6g" writes the bytes _fmt does.
+_SWEEP_LINE = "%s,%.6g,%d,%s" + ",%.6g" * (len(_COLUMNS) + 2)
 
 
 def _fmt(value) -> str:
@@ -63,6 +67,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
+
+
+def _csv_line(row) -> str:
+    return ",".join(map(_fmt, row))
+
+
+def _sweep_line(row) -> str:
+    # an analytic row by _SWEEP_LINE; a simulated one, with empty totals, as _fmt writes it
+    return _SWEEP_LINE % row if row[-1] is not None else _csv_line(row)
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -84,27 +97,19 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _emit_table(rows: list[dict], out) -> None:
-    """Write rows as CSV (6 significant digits) or JSON (full precision).
-
-    The columns are the first row's keys; every row has the same keys in the
-    same order.
-    """
-    columns = list(rows[0])
+def _emit_table(columns: tuple[str, ...], rows: list[tuple], out, csv_line=_csv_line) -> None:
+    """Write rows, tuples in column order, as CSV (6 significant digits) or JSON (full precision)."""
     if out.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(map(_fmt, row.values())))
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(columns), *map(csv_line, rows)]) + "\n"
     else:
-        text = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+        text = json.dumps({"columns": columns, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
     if out.path:
         _atomic_write(out.path, (text,))
     else:
         sys.stdout.write(text)
 
 
-def _analyze_rows(cfg: SystemConfig) -> list[dict]:
+def _analyze_rows(cfg: SystemConfig) -> list[tuple]:
     report = analytic.age_report(cfg)
     total = SimpleNamespace(
         stream="total",
@@ -117,16 +122,11 @@ def _analyze_rows(cfg: SystemConfig) -> list[dict]:
         second_moment_interdeparture=None,
         delivery_rate=math.fsum(s.delivery_rate for s in report.streams),
     )
-    rows = []
-    for s in (*report.streams, total):
-        row = {"stream": s.stream, "lambda_i": s.rate, "p_i": s.prob}
-        row.update(zip(_COLUMNS, _metric_values(s)))
-        rows.append(row)
-    return rows
+    return [(s.stream, s.rate, s.prob, *_metric_values(s)) for s in (*report.streams, total)]
 
 
 def cmd_analyze(run_cfg: RunConfig) -> int:
-    _emit_table(_analyze_rows(run_cfg.system), run_cfg.output)
+    _emit_table(("stream", "lambda_i", "p_i", *_COLUMNS), _analyze_rows(run_cfg.system), run_cfg.output)
     return 0
 
 
@@ -139,23 +139,20 @@ def _simulation(run_cfg: RunConfig, seed_override: int | None, **changes) -> sim
     return dataclasses.replace(run_cfg.simulation, **changes)
 
 
-def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[dict]:
+def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[tuple]:
     report = analytic.age_report(run_cfg.system)
-    rows = []
-    for s, ref in zip(result.streams, report.streams):
-        row = {"stream": s.stream, "lambda_i": ref.rate, "p_i": ref.prob}
-        row.update(zip(_COLUMNS_SE, _metric_values_se(s)))
-        row["ref_avg_age"] = ref.avg_age
-        row["ref_peak_age"] = ref.peak_age
-        rows.append(row)
-    return rows
+    return [
+        (s.stream, ref.rate, ref.prob, *_metric_values_se(s), ref.avg_age, ref.peak_age)
+        for s, ref in zip(result.streams, report.streams)
+    ]
 
 
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
     params = _simulation(run_cfg, seed_override)
     trace_path = trace_path or run_cfg.output.trace_path
     result = simulator.run(params, collect_trace=trace_path is not None)
-    _emit_table(_simulate_rows(run_cfg, result), run_cfg.output)
+    columns = ("stream", "lambda_i", "p_i", *_COLUMNS_SE, "ref_avg_age", "ref_peak_age")
+    _emit_table(columns, _simulate_rows(run_cfg, result), run_cfg.output)
     if trace_path is not None:
         _atomic_write(trace_path, _trace_chunks(result.trace))
     return 0
@@ -343,11 +340,15 @@ def _dist_from_flags(args) -> ServiceDistribution:
 
 
 def cmd_optimize(args) -> int:
-    if args.rate <= 0:
+    if finite_number(args.rate, "--rate") <= 0:
         raise ConfigError(f"--rate must be > 0, got {args.rate}")
     if args.streams < 1:
         raise ConfigError(f"--streams must be >= 1, got {args.streams}")
+    if args.points < 0:
+        raise ConfigError(f"--points must be >= 0, got {args.points}")
     dist = _dist_from_flags(args)
+    # the float-range checks of analyze, on the fair split
+    analytic.age_report(SystemConfig(args.rate, (1.0 / args.streams,) * args.streams, dist))
     result = optimizer.optimal_allocation(args.rate, args.streams, dist, n_random_points=args.points)
     payload = {
         "p_star": list(result.p_star),
@@ -362,52 +363,68 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _sweep_config(base: SystemConfig, param: str, value: float) -> SystemConfig:
+def _sweep_block(base: SystemConfig, param: str, values: list[float]):
+    """The total rates, splits and service laws at the grid values, checked as SystemConfig checks
+    a system, and their analytic.age_columns."""
+    g, m = len(values), base.num_streams
+    lam, probs, laws = np.full(g, base.total_rate), np.tile(base.stream_probs, (g, 1)), [base.service] * g
     if param == "total_rate":
-        return SystemConfig(value, base.stream_probs, base.service)
-    if param.startswith("p"):
+        lam = np.array(values)
+    elif param.startswith("p"):
         try:
             idx = int(param[1:])
         except ValueError:
             idx = -1
-        if not 1 <= idx <= base.num_streams:
+        if not 1 <= idx <= m:
             raise ConfigError(f"sweep parameter {param!r} does not name a stream probability")
-        if base.num_streams < 2:
+        if m < 2:
             raise ConfigError("sweeping a stream probability needs at least two streams")
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"stream probability grid value {value} outside (0, 1)")
-        share = (1.0 - value) / (base.num_streams - 1)
-        probs = tuple(value if j == idx - 1 else share for j in range(base.num_streams))
-        return SystemConfig(base.total_rate, probs, base.service)
-    service_spec = base.service.to_config()
-    if param not in service_spec or param == "type":
-        raise ConfigError(
-            f"unknown sweep parameter {param!r}; expected total_rate, p<i>, "
-            f"or a field of the service law {sorted(k for k in service_spec if k != 'type')}"
-        )
-    service_spec[param] = value
-    return SystemConfig(base.total_rate, base.stream_probs, distribution_from_config(service_spec))
+        p_i = np.array(values)
+        outside = ~((0.0 < p_i) & (p_i < 1.0))
+        if outside.any():
+            raise ConfigError(f"stream probability grid value {p_i[outside][0].item()} outside (0, 1)")
+        probs = np.repeat(((1.0 - p_i) / (m - 1))[:, None], m, axis=1)
+        probs[:, idx - 1] = p_i
+    else:
+        fields = base.service.to_config()
+        if param not in fields or param == "type":
+            raise ConfigError(
+                f"unknown sweep parameter {param!r}; expected total_rate, p<i>, "
+                f"or a field of the service law {sorted(k for k in fields if k != 'type')}"
+            )
+        try:  # each law from its class, as distribution_from_config checks its fields
+            laws = [dataclasses.replace(base.service, **{param: finite_number(v, f"service field {param!r}")})
+                    for v in values]
+        except ParameterDomainError as exc:
+            raise ConfigError(str(exc)) from exc
+    analytic.check_systems(lam, probs)
+    terms = [(analytic.beats_arrival(law, x), law.exp_weighted_mean(x)) for law, x in zip(laws, lam.tolist())]
+    p, ew = np.array(terms).T
+    return lam, probs, laws, analytic.age_columns(lam[:, None] * probs, p, ew)
 
 
 def cmd_sweep(run_cfg: RunConfig, param: str, grid: list[float], with_sim: bool, seed_override) -> int:
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
+    base, m = run_cfg.system, run_cfg.system.num_streams
+    # The grid is one block, unless it is simulated or fails: then each point is a block, in grid
+    # order, so that its simulated rows follow its analytic ones and the first bad point raises.
+    try:
+        blocks = None if with_sim else [(grid, _sweep_block(base, param, grid))]
+    except AoiError:
+        blocks = None
     rows = []
-    for value in grid:
-        cfg = _sweep_config(run_cfg.system, param, value)
-        report = analytic.age_report(cfg)
-        sources = [("analytic", report.streams, report.total_avg_age, report.total_peak_age)]
+    for values, (lam, probs, laws, columns) in blocks or (([v], _sweep_block(base, param, [v])) for v in grid):
+        totals = (columns["total_avg_age"], columns["total_peak_age"])
+        value, tot, tot_pk = (np.repeat(x, m).tolist() for x in (values, *totals))
+        metrics = (columns[field].ravel().tolist() for field, _ in _METRICS)
+        n = len(values) * m
+        rows += zip([param] * n, value, list(range(1, m + 1)) * len(values), ["analytic"] * n, *metrics, tot, tot_pk)
         if with_sim:
-            result = simulator.run(_simulation(run_cfg, seed_override, cfg=cfg, mgf_probes=()))
-            sources.append(("simulated", result.streams, None, None))
-        for source, streams, delta_tot, delta_peak_tot in sources:
-            for s in streams:
-                row = {"param": param, "value": value, "stream": s.stream, "source": source}
-                row.update(zip(_COLUMNS, _metric_values(s)))
-                row["delta_tot"] = delta_tot
-                row["delta_peak_tot"] = delta_peak_tot
-                rows.append(row)
-    _emit_table(rows, run_cfg.output)
+            cfg = SystemConfig(lam[0].item(), tuple(probs[0].tolist()), laws[0])
+            streams = simulator.run(_simulation(run_cfg, seed_override, cfg=cfg, mgf_probes=())).streams
+            rows += [(param, values[0], s.stream, "simulated", *_metric_values(s), None, None) for s in streams]
+    _emit_table(_SWEEP_COLUMNS, rows, run_cfg.output, _sweep_line)
     return 0
 
 

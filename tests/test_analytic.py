@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoi_mg11 import analytic
 from aoi_mg11.analytic import (
     SystemConfig,
     age_report,
@@ -20,7 +22,7 @@ from aoi_mg11.analytic import (
     system_time_mgf,
 )
 from aoi_mg11.distributions import Deterministic, Exponential, Gamma, Uniform
-from aoi_mg11.errors import ParameterDomainError, PoleError
+from aoi_mg11.errors import InvariantViolationError, ParameterDomainError, PoleError
 
 from conftest import random_system_config
 
@@ -158,6 +160,24 @@ class TestAgeReport:
             assert s.peak_age > s.avg_age
 
 
+class TestPeakAboveAverage:
+    def test_equal_where_system_time_rounds_away(self):
+        # E[T] = 6.3e-17 is below 2^-53 of the average age 1000
+        row = age_report(SystemConfig(1.58e16, (1.0,), Exponential(0.001))).streams[0]
+        assert row.peak_age == row.avg_age
+        assert row.mean_system_time / row.avg_age < 2.0**-53
+
+    def test_planted_peak_below_average_raises(self, monkeypatch):
+        # E[T] is 1e-12 of the average: inside the dual-route tolerance, too
+        # large to round away
+        def below(li, p, ew):
+            return analytic._avg_age(li, p) - analytic._mean_system_time(p, ew)
+
+        monkeypatch.setattr(analytic, "_peak_age", below)
+        with pytest.raises(InvariantViolationError, match="not above average age"):
+            age_report(SystemConfig(1.0, (1.0,), Exponential(1e12)))
+
+
 class TestRandomConfigProperties:
     def test_dual_routes_and_numeric_moments(self, rng):
         for _ in range(100):
@@ -264,3 +284,22 @@ class TestTimeRescaling:
                 assert getattr(row_c, name) == pytest.approx(want, rel=1e-12), name
         assert slow.total_avg_age == pytest.approx(base.total_avg_age * c, rel=1e-12)
         assert slow.total_peak_age == pytest.approx(base.total_peak_age * c, rel=1e-12)
+
+
+class TestStreamRelabelling:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.floats(0.01, 10.0),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
+        dist=services,
+        data=st.data(),
+    )
+    def test_permuting_the_split_permutes_every_row(self, lam, weights, dist, data):
+        perm = data.draw(st.permutations(range(len(weights))))
+        probs = tuple(w / math.fsum(weights) for w in weights)
+        base = age_report(SystemConfig(lam, probs, dist))
+        relabelled = age_report(SystemConfig(lam, tuple(probs[k] for k in perm), dist))
+        for j, k in enumerate(perm):
+            assert dataclasses.replace(relabelled.streams[j], stream=k + 1) == base.streams[k]
+        assert relabelled.total_avg_age == base.total_avg_age
+        assert relabelled.total_peak_age == base.total_peak_age

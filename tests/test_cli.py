@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_mg11 import cli, simulator
 from aoi_mg11.analytic import SystemConfig
@@ -287,6 +290,12 @@ def test_values_outside_the_float_range_are_domain_errors(tmp_path, capsys, syst
     assert capsys.readouterr().err.startswith("domain error: ")
 
 
+def test_peak_equal_to_average_at_extreme_scale(tmp_path):
+    # E[T] = 6.3e-17 rounds away in the peak age 1000 + E[T]
+    system = {"total_rate": 1.58e16, "stream_probs": [1.0], "service": {"type": "exponential", "rate": 0.001}}
+    assert main(["analyze", "-c", write_config(tmp_path, system=system)]) == 0
+
+
 class TestValidate:
     def validate_cfg(self, tmp_path, report=None, probes=(-0.5,)):
         output = {"path": str(report)} if report else {}
@@ -420,6 +429,23 @@ class TestOptimize:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--rate", "inf"], 2),
+            (["--rate", "nan"], 2),
+            (["--rate", "1e-320"], 3),
+            (["--rate", "1.5", "--points", "-5"], 2),
+        ],
+        ids=["infinite_rate", "nan_rate", "rate_outside_the_float_range", "negative_points"],
+    )
+    def test_flag_errors(self, capsys, flags, code):
+        argv = ["optimize", "--streams", "2", "--service", "exponential", "--service-rate", "1", *flags]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith({2: "config error: ", 3: "domain error: "}[code])
+
     def test_missing_service_param(self):
         assert (
             main(["optimize", "--rate", "1.0", "--streams", "2", "--service", "gamma"])
@@ -478,6 +504,42 @@ class TestSweep:
         assert main(["sweep", "-c", cfg, "--param", "p1", "--grid", "0.3,0.5", "--with-sim"]) == 0
         rows = read_csv(out)
         assert {r["source"] for r in rows} == {"analytic", "simulated"}
+
+
+SERVICE_SPECS = st.one_of(
+    st.builds(lambda r: {"type": "exponential", "rate": r}, st.floats(0.1, 10.0)),
+    st.builds(lambda k, th: {"type": "gamma", "shape": k, "scale": th}, st.floats(0.2, 5.0), st.floats(0.05, 2.0)),
+    st.builds(lambda v: {"type": "deterministic", "value": v}, st.floats(0.01, 3.0)),
+    st.builds(lambda a, w: {"type": "uniform", "lower": a, "upper": a + w}, st.floats(0.0, 2.0), st.floats(0.01, 2.0)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(weights=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6), service=SERVICE_SPECS, data=st.data())
+def test_sweep_rows_permute_with_the_streams(weights, service, data):
+    perm = data.draw(st.permutations(range(len(weights))))
+    probs = [w / math.fsum(weights) for w in weights]
+    field = list(service)[-1]  # rate, scale, value or upper: any value above the base is valid
+    sweeps = (("total_rate", "0.3,1.5,4"), (field, ",".join(repr(service[field] * c) for c in (1.0, 1.5, 2.0))))
+
+    def sweep(tmp, split, param, grid):
+        out = os.path.join(tmp, "sweep.json")
+        system = {"total_rate": 1.5, "stream_probs": split, "service": service}
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"system": system, "output": {"format": "json", "path": out}}, fh)
+        assert main(["sweep", "-c", cfg, "--param", param, "--grid", grid]) == 0
+        with open(out) as fh:
+            return json.load(fh)["rows"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for param, grid in sweeps:
+            base = sweep(tmp, probs, param, grid)
+            relabelled = sweep(tmp, [probs[k] for k in perm], param, grid)
+            m = len(probs)
+            for g in range(0, len(base), m):
+                for j, k in enumerate(perm):
+                    assert {**relabelled[g + j], "stream": k + 1} == base[g + k]
 
 
 METRIC_COLUMNS = ("avg_age", "peak_age", "mean_T", "mean_Y", "mean_Y2", "delivery_rate")

@@ -1,0 +1,114 @@
+"""Golden sweep outputs: ``aoi sweep`` must write these bytes exactly.
+
+The files under ``tests/golden/`` were written by the closed forms as they
+stood before the sweep was evaluated as one array pass (one ``SystemConfig``
+and ``age_report`` per grid point). A change that means to alter the sweep's
+bytes rewrites them with ``PYTHONPATH=src python tests/test_golden.py`` and
+says why.
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from aoi_mg11.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SERVICES = {
+    "uniform": {"type": "uniform", "lower": 0.5, "upper": 1.5},
+    "gamma": {"type": "gamma", "shape": 2.0, "scale": 0.5},
+}
+SIMULATION = {"max_time": 1e3, "seed": 11, "replications": 2}
+
+
+def _grid(lo: float, step: float, n: int) -> str:
+    return ",".join(f"{lo + k * step:.6g}" for k in range(n))
+
+
+# name -> (service, --param, --grid, with simulated rows)
+SWEEPS = {
+    f"{law}_{name}": (law, param, grid, name == "with_sim")
+    for law, field, field_grid in (("uniform", "upper", _grid(0.6, 0.1, 50)), ("gamma", "scale", _grid(0.05, 0.05, 50)))
+    for name, param, grid in (
+        ("total_rate", "total_rate", _grid(0.1, 0.1, 50)),
+        ("p1", "p1", _grid(0.02, 0.02, 49)),
+        (field, field, field_grid),
+        ("with_sim", "p1", _grid(0.02, 0.02, 49)),
+    )
+}
+
+# (--param, --grid, exit code) on the uniform system; the first bad grid
+# point decides the message
+INVALID_GRIDS = (
+    ("total_rate", "1,-1,2", 3),
+    ("total_rate", "1,inf", 3),
+    ("total_rate", "1e-320", 3),
+    ("total_rate", "1,2,1e-320,-1", 3),
+    ("p1", "0.5,1.2", 2),
+    ("p1", "0.5,nan", 2),
+    ("lower", "0.2,2.0", 2),
+    ("upper", "2,0.4,inf", 2),
+)
+
+
+def _config(tmp_path: Path, law: str, fmt: str, out: Path) -> str:
+    config = {
+        "system": {"total_rate": 1.5, "stream_probs": [0.6, 0.4], "service": SERVICES[law]},
+        "simulation": SIMULATION,
+        "output": {"format": fmt, "path": str(out)},
+    }
+    path = tmp_path / f"{law}_{fmt}.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _sweep(tmp_path: Path, name: str, fmt: str) -> bytes:
+    law, param, grid, with_sim = SWEEPS[name]
+    out = tmp_path / f"{name}.{fmt}"
+    argv = ["sweep", "-c", _config(tmp_path, law, fmt, out), "--param", param, "--grid", grid]
+    assert main(argv + ["--with-sim"] * with_sim) == 0
+    return out.read_bytes()
+
+
+def _invalid(tmp_path: Path, param: str, grid: str) -> tuple[int, str]:
+    """The exit code and stderr of a sweep that must fail."""
+    config = _config(tmp_path, "uniform", "csv", tmp_path / "never.csv")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["sweep", "-c", config, "--param", param, "--grid", grid])
+    return code, err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    monkeypatch.delenv("AOI_SEED", raising=False)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_bytes(tmp_path, name, fmt):
+    assert _sweep(tmp_path, name, fmt) == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("param, grid, code", INVALID_GRIDS)
+def test_invalid_grid(tmp_path, param, grid, code):
+    expected = json.loads((GOLDEN / "invalid_grids.json").read_text())[f"{param} {grid}"]
+    assert _invalid(tmp_path, param, grid) == (code, expected)
+    assert not (tmp_path / "never.csv").exists()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ.pop("AOI_SEED", None)
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(SWEEPS):
+            for fmt in ("csv", "json"):
+                (GOLDEN / f"{name}.{fmt}").write_bytes(_sweep(Path(tmp), name, fmt))
+        messages = {f"{param} {grid}": _invalid(Path(tmp), param, grid)[1] for param, grid, _ in INVALID_GRIDS}
+    (GOLDEN / "invalid_grids.json").write_text(json.dumps(messages, indent=2) + "\n")
