@@ -85,7 +85,7 @@ def check_systems(total_rates: np.ndarray, stream_probs: np.ndarray) -> None:
         raise ParameterDomainError(f"total_rate must be > 0, got {total_rates[bad][0].item()}")
     if stream_probs.shape[1] < 1:
         raise ParameterDomainError("at least one stream is required")
-    bad = (stream_probs <= 0).any(axis=1)
+    bad = (~(stream_probs > 0)).any(axis=1)  # NaN fails too
     if bad.any():
         probs = tuple(stream_probs[bad][0].tolist())
         raise ParameterDomainError(f"every stream probability must be > 0, got {probs}")
@@ -107,29 +107,8 @@ def beats_arrival(service: ServiceDistribution, total_rate: float) -> float:
 
 
 # Each metric is written once, as a function of the stream rate lam_i,
-# P = P(lam) and ew = E[S e^{-lam S}], for floats and arrays alike; the
-# public functions and age_columns evaluate P and ew and call these.
-
-
-def _representable(metric):
-    """Make a metric whose value leaves the float range a ParameterDomainError.
-
-    Every metric is positive. At extreme loads lam_i P(lam) can underflow to
-    0, or a quotient can overflow or underflow; the metric then raises instead
-    of ZeroDivisionError or returning inf or 0.
-    """
-
-    @functools.wraps(metric)
-    def checked(*args):
-        try:
-            value = metric(*args)
-            if 0.0 < value < math.inf:
-                return value
-        except ZeroDivisionError:
-            pass
-        raise ParameterDomainError(f"{metric.__name__.lstrip('_')} is outside the float range at {args}")
-
-    return checked
+# P = P(lam) and ew = E[S e^{-lam S}], for floats and arrays alike;
+# age_columns evaluates them, and the optimizer's simplex sample sums two.
 
 
 def _avg_age(li: float, p: float) -> float:
@@ -154,19 +133,6 @@ def _second_moment_interdeparture(li: float, p: float, ew: float) -> float:
     # 2 / (lam_i P)^2 is the largest per-stream metric: where it is finite,
     # so are the others (age_columns checks its range alone)
     return 2.0 * (-ew / (li * p * p) + 1.0 / (li * li * p * p))
-
-
-@_representable
-def avg_age(cfg: SystemConfig, i: int) -> float:
-    """Long-run time-average age of stream i."""
-    return _avg_age(cfg.stream_rate(i), cfg.service_beats_arrival())
-
-
-@_representable
-def peak_age(cfg: SystemConfig, i: int) -> float:
-    """Long-run average peak age of stream i."""
-    ew = cfg.service.exp_weighted_mean(cfg.total_rate)
-    return _peak_age(cfg.stream_rate(i), cfg.service_beats_arrival(), ew)
 
 
 def system_time_mgf(cfg: SystemConfig, s: float) -> float:
@@ -221,24 +187,6 @@ def moments_from_mgf(mgf: Callable[[float], float], order: int, h: float = 1e-4)
     return (4.0 * fine - coarse) / 3.0
 
 
-@_representable
-def mean_system_time(cfg: SystemConfig) -> float:
-    """E[T] of a delivered update."""
-    return _mean_system_time(cfg.service_beats_arrival(), cfg.service.exp_weighted_mean(cfg.total_rate))
-
-
-@_representable
-def mean_interdeparture(cfg: SystemConfig, i: int) -> float:
-    """E[Y] for stream i."""
-    return _mean_interdeparture(cfg.stream_rate(i), cfg.service_beats_arrival())
-
-
-def second_moment_interdeparture(cfg: SystemConfig, i: int) -> float:
-    """E[Y^2] for stream i."""
-    ew = cfg.service.exp_weighted_mean(cfg.total_rate)
-    return _representable(_second_moment_interdeparture)(cfg.stream_rate(i), cfg.service_beats_arrival(), ew)
-
-
 @dataclass(frozen=True)
 class StreamMetrics:
     stream: int
@@ -270,16 +218,23 @@ def _disagree(direct, decomposed):
     return np.abs(direct - decomposed) > _DUAL_ROUTE_TOL * np.maximum(np.abs(direct), 1.0)
 
 
-def age_columns(rates: np.ndarray, p: np.ndarray, ew: np.ndarray) -> dict[str, np.ndarray]:
-    """Each StreamMetrics metric (G x M) and AgeReport total (G) of G systems with M streams.
+def age_columns(
+    total_rates: np.ndarray, stream_probs: np.ndarray, services: list[ServiceDistribution]
+) -> dict[str, np.ndarray]:
+    """Each StreamMetrics field but the stream (G x M) and AgeReport total (G) of G systems with M streams.
 
-    System g has stream rates rates[g], P(lam) = p[g] and E[S e^{-lam S}] = ew[g]. Each age is computed
+    System g has total rate total_rates[g], the split stream_probs[g] and the service law services[g]. The
+    systems are checked as SystemConfig checks one, and P(lam) must not underflow to 0. Each age is computed
     twice, by the direct closed form and by the sawtooth moment decomposition (E[T] + E[Y^2]/(2 E[Y]) for
     the average, E[T] + E[Y] for the peak); the two must agree to 1e-9 relative. The peak age must exceed
     the average, or equal it where E[T] is below 2^-53 of it and so rounds away. E[Y^2] must lie in the
     float range. The first element, in row order, to fail a check raises that check's error.
     """
+    check_systems(total_rates, stream_probs)
+    terms = [(beats_arrival(law, x), law.exp_weighted_mean(x)) for law, x in zip(services, total_rates.tolist())]
+    p, ew = np.array(terms).T
     p, ew = p[:, None], ew[:, None]
+    rates = total_rates[:, None] * stream_probs
     with np.errstate(all="ignore"):  # values outside the float range fail the first check
         e_t = _mean_system_time(p, ew)
         e_y2 = _second_moment_interdeparture(rates, p, ew)
@@ -301,6 +256,8 @@ def age_columns(rates: np.ndarray, p: np.ndarray, ew: np.ndarray) -> dict[str, n
         _, error, message, values = next(check for check in checks if check[0][g, j])
         raise error(message.format(j + 1, *(np.broadcast_to(v, bad.shape)[g, j].item() for v in values)))
     return {
+        "rate": rates,
+        "prob": stream_probs,
         "avg_age": delta,
         "peak_age": delta_pk,
         "delivery_rate": 1.0 / e_y,
@@ -314,9 +271,40 @@ def age_columns(rates: np.ndarray, p: np.ndarray, ew: np.ndarray) -> dict[str, n
 
 def age_report(cfg: SystemConfig) -> AgeReport:
     """All per-stream metrics plus totals: age_columns on the one system."""
-    rates = cfg.total_rate * np.array([cfg.stream_probs])
-    p, ew = cfg.service_beats_arrival(), cfg.service.exp_weighted_mean(cfg.total_rate)
-    columns = age_columns(rates, np.array([p]), np.array([ew]))
+    columns = age_columns(np.array([cfg.total_rate], dtype=float), np.array([cfg.stream_probs]), [cfg.service])
     totals = [columns.pop(name).item() for name in ("total_avg_age", "total_peak_age")]
-    per_stream = zip(rates[0].tolist(), cfg.stream_probs, *(c[0].tolist() for c in columns.values()))
+    per_stream = zip(*(c[0].tolist() for c in columns.values()))
     return AgeReport(tuple(StreamMetrics(i, *row) for i, row in enumerate(per_stream, start=1)), *totals)
+
+
+# The scalar metrics are fields of age_report, so they raise where it does.
+
+
+def _stream(cfg: SystemConfig, i: int) -> StreamMetrics:
+    cfg._check_index(i)
+    return age_report(cfg).streams[i - 1]
+
+
+def avg_age(cfg: SystemConfig, i: int) -> float:
+    """Long-run time-average age of stream i."""
+    return _stream(cfg, i).avg_age
+
+
+def peak_age(cfg: SystemConfig, i: int) -> float:
+    """Long-run average peak age of stream i."""
+    return _stream(cfg, i).peak_age
+
+
+def mean_system_time(cfg: SystemConfig) -> float:
+    """E[T] of a delivered update."""
+    return age_report(cfg).streams[0].mean_system_time
+
+
+def mean_interdeparture(cfg: SystemConfig, i: int) -> float:
+    """E[Y] for stream i."""
+    return _stream(cfg, i).mean_interdeparture
+
+
+def second_moment_interdeparture(cfg: SystemConfig, i: int) -> float:
+    """E[Y^2] for stream i."""
+    return _stream(cfg, i).second_moment_interdeparture

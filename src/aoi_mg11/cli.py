@@ -347,8 +347,6 @@ def cmd_optimize(args) -> int:
     if args.points < 0:
         raise ConfigError(f"--points must be >= 0, got {args.points}")
     dist = _dist_from_flags(args)
-    # the float-range checks of analyze, on the fair split
-    analytic.age_report(SystemConfig(args.rate, (1.0 / args.streams,) * args.streams, dist))
     result = optimizer.optimal_allocation(args.rate, args.streams, dist, n_random_points=args.points)
     payload = {
         "p_star": list(result.p_star),
@@ -364,8 +362,7 @@ def cmd_optimize(args) -> int:
 
 
 def _sweep_block(base: SystemConfig, param: str, values: list[float]):
-    """The total rates, splits and service laws at the grid values, checked as SystemConfig checks
-    a system, and their analytic.age_columns."""
+    """The total rates, splits and service laws at the grid values, and their analytic.age_columns."""
     g, m = len(values), base.num_streams
     lam, probs, laws = np.full(g, base.total_rate), np.tile(base.stream_probs, (g, 1)), [base.service] * g
     if param == "total_rate":
@@ -397,10 +394,7 @@ def _sweep_block(base: SystemConfig, param: str, values: list[float]):
                     for v in values]
         except ParameterDomainError as exc:
             raise ConfigError(str(exc)) from exc
-    analytic.check_systems(lam, probs)
-    terms = [(analytic.beats_arrival(law, x), law.exp_weighted_mean(x)) for law, x in zip(laws, lam.tolist())]
-    p, ew = np.array(terms).T
-    return lam, probs, laws, analytic.age_columns(lam[:, None] * probs, p, ew)
+    return lam, probs, laws, analytic.age_columns(lam, probs, laws)
 
 
 def cmd_sweep(run_cfg: RunConfig, param: str, grid: list[float], with_sim: bool, seed_override) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _PROB_SUM_TOL, SystemConfig, _avg_age, _peak_age
+from .analytic import SystemConfig, _avg_age, _peak_age, age_columns, beats_arrival
 from .distributions import ServiceDistribution
 from .errors import InvariantViolationError, ParameterDomainError
 
@@ -41,44 +41,35 @@ def _factored_totals(inv_p_sum, m: int, lam: float, p_lam: float, ew: float):
     return tot, tot + m * ew / p_lam
 
 
-def _total_ages(lam: float, dist: ServiceDistribution, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total average and peak age for each split in the rows of probs.
-
-    lam and each row are checked as SystemConfig checks a system (lam > 0
-    and finite, every p_i > 0, the row sums to 1). The totals are computed
-    both as the per-stream sum and in the factored (1/(lam P)) * sum(1/p_i)
-    form; the two must agree to 1e-12 relative in every row.
-    """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ParameterDomainError(f"total_rate must be > 0, got {lam}")
-    nonpositive = ~(probs > 0).all(axis=1)
-    if nonpositive.any():
-        raise ParameterDomainError(f"every stream probability must be > 0, got {tuple(probs[nonpositive][0])}")
-    sums = probs.sum(axis=1)
-    off = np.abs(sums - 1.0) > _PROB_SUM_TOL
-    if off.any():
-        raise ParameterDomainError(f"stream probabilities must sum to 1 (got {sums[off][0]!r})")
-    p_lam = dist.laplace(lam)
-    ew = dist.exp_weighted_mean(lam)
-    rates = lam * probs
-    summed = _avg_age(rates, p_lam).sum(axis=1)
-    summed_peak = _peak_age(rates, p_lam, ew).sum(axis=1)
+def _check_factored(tot, tot_peak, probs: np.ndarray, lam: float, p_lam: float, ew: float) -> None:
+    """The totals of the splits in the rows of probs must agree with the factored
+    (1/(lam P)) * sum(1/p_i) form to 1e-12 relative in every row."""
     factored, factored_peak = _factored_totals((1.0 / probs).sum(axis=1), probs.shape[1], lam, p_lam, ew)
-    for label, x, y in (("total age", summed, factored), ("total peak age", summed_peak, factored_peak)):
+    for label, x, y in (("total age", tot, factored), ("total peak age", tot_peak, factored_peak)):
         bad = np.abs(x - y) > 1e-12 * np.maximum(np.abs(x), 1.0)
         if bad.any():
             raise InvariantViolationError(f"{label}: summed {x[bad][0]!r} vs factored {y[bad][0]!r}")
-    return summed, summed_peak
+
+
+def _checked_columns(lam: float, dist: ServiceDistribution, probs: np.ndarray) -> dict[str, np.ndarray]:
+    """analytic.age_columns of the splits in the rows of probs at total rate lam, its totals
+    checked against the factored form."""
+    g = len(probs)
+    columns = age_columns(np.full(g, lam, dtype=float), probs, [dist] * g)
+    p_lam, ew = beats_arrival(dist, lam), dist.exp_weighted_mean(lam)
+    _check_factored(columns["total_avg_age"], columns["total_peak_age"], probs, lam, p_lam, ew)
+    return columns
 
 
 def total_age(cfg: SystemConfig) -> tuple[float, float]:
     """(total average age, total average peak age).
 
-    Computed both as the per-stream sum and via the factored
-    (1/(lam P)) * sum(1/p_i) form; the two must agree to 1e-12 relative.
+    The math.fsum totals of analytic.age_columns (those of age_report),
+    cross-checked against the factored (1/(lam P)) * sum(1/p_i) form to
+    1e-12 relative.
     """
-    tot, tot_peak = _total_ages(cfg.total_rate, cfg.service, np.array([cfg.stream_probs]))
-    return float(tot[0]), float(tot_peak[0])
+    columns = _checked_columns(cfg.total_rate, cfg.service, np.array([cfg.stream_probs]))
+    return columns["total_avg_age"].item(), columns["total_peak_age"].item()
 
 
 def optimal_allocation(
@@ -97,20 +88,22 @@ def optimal_allocation(
     """
     if m < 1:
         raise ParameterDomainError(f"need at least one stream, got {m}")
-    if not lam > 0:
-        raise ParameterDomainError(f"total rate must be > 0, got {lam}")
     if rng is None:
         rng = np.random.default_rng(0)
-    delta_tot_star, delta_peak_tot_star = _factored_totals(
-        m * m, m, lam, dist.laplace(lam), dist.exp_weighted_mean(lam)
-    )
+    _checked_columns(lam, dist, np.full((1, m), 1.0 / m))  # analyze's checks, on the fair split
+    p_lam, ew = beats_arrival(dist, lam), dist.exp_weighted_mean(lam)
+    delta_tot_star, delta_peak_tot_star = _factored_totals(m * m, m, lam, p_lam, ew)
 
     max_violation = 0.0
     if m > 1:
+        # normalised positive draws: each row is a split, so it needs no split check
         rows = max(1, _BLOCK // m)
         for lo in range(0, n_random_points, rows):
             e = rng.exponential(1.0, (min(rows, n_random_points - lo), m))
-            tot, _ = _total_ages(lam, dist, e / e.sum(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+            rates = lam * probs
+            tot, tot_peak = _avg_age(rates, p_lam).sum(axis=1), _peak_age(rates, p_lam, ew).sum(axis=1)
+            _check_factored(tot, tot_peak, probs, lam, p_lam, ew)
             max_violation = max(max_violation, float(np.max(delta_tot_star - tot)))
     return AllocationResult(
         p_star=tuple([1.0 / m] * m),
@@ -154,8 +147,8 @@ def priority_frontier(
     g = np.array(grid, dtype=float)
     probs[:, i - 1] = g
     probs[:, [j for j in range(m) if j != i - 1]] = np.outer(1.0 - g, residual_split)
-    tot, _ = _total_ages(lam, dist, probs)
-    rows = list(zip(grid, _avg_age(lam * g, dist.laplace(lam)).tolist(), tot.tolist()))
+    columns = _checked_columns(lam, dist, probs)
+    rows = list(zip(grid, columns["avg_age"][:, i - 1].tolist(), columns["total_avg_age"].tolist()))
 
     ordered = sorted(rows)
     for (g0, d0, t0), (g1, d1, t1) in zip(ordered, ordered[1:]):

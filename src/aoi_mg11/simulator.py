@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import SystemConfig, mean_interdeparture
+from .analytic import SystemConfig, age_report
 from .errors import (
     ConditioningTooRareError,
     InsufficientDataError,
@@ -283,7 +283,7 @@ def _simulate_replication(
 
 
 def _horizon_for_count(cfg: SystemConfig, n_deliveries: int, warmup_fraction: float) -> float:
-    slowest = max(mean_interdeparture(cfg, i) for i in range(1, cfg.num_streams + 1))
+    slowest = max(s.mean_interdeparture for s in age_report(cfg).streams)
     return 1.3 * n_deliveries * slowest / (1.0 - warmup_fraction)
 
 

@@ -41,6 +41,11 @@ class TestAges:
         with pytest.raises(ParameterDomainError):
             SystemConfig(1.0, (0.5, 0.5), Deterministic(0.0))
 
+    def test_nan_split_rejected(self):
+        # NaN is neither <= 0 nor more than the tolerance away from 1
+        with pytest.raises(ParameterDomainError, match="every stream probability must be > 0"):
+            SystemConfig(1.0, (0.5, 0.5, math.nan), Exponential(1.0))
+
     def test_peak(self):
         assert peak_age(REF, 1) == pytest.approx(10.0 / 3.0 + 0.4, rel=1e-12)
 

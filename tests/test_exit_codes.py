@@ -1,5 +1,5 @@
 """The exit-code contract: ``aoi analyze`` on any JSON config returns 0, 2, 3,
-4 or 5 and raises nothing."""
+4 or 5, ``aoi optimize`` on any numbers returns 0, 2 or 3, and neither raises."""
 
 import contextlib
 import io
@@ -11,7 +11,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoi_mg11.cli import main
+from aoi_mg11.cli import _service_dest, main
+from aoi_mg11.distributions import CONFIG_FIELDS
 
 # JSON values a number field must reject
 WILD = st.one_of(
@@ -96,3 +97,29 @@ def test_analyze_returns_a_documented_exit_code(config):
             json.dump(config, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["analyze", "-c", path]) in (0, 2, 3, 4, 5)
+
+
+# any float: subnormals, 0, negatives, nan and inf included; rates below
+# 1e-150 put E[Y^2] = 2 / (lam_i P)^2 out of the float range
+NUMBER = _mostly(st.one_of(POSITIVE, st.floats(0.0, 1e-150, exclude_min=True)), st.floats())
+
+
+@st.composite
+def optimize_argv(draw):
+    kind = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
+    # "--flag=value", so that argparse reads "-inf" as a value, not a flag
+    flags = {"rate": NUMBER, "streams": st.integers(-1, 6), "points": st.integers(-1, 40), "service": st.just(kind)}
+    flags.update({_service_dest(field).replace("_", "-"): NUMBER for field in CONFIG_FIELDS[kind]})
+    return ["optimize", *(f"--{flag}={draw(value)}" for flag, value in flags.items())]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=optimize_argv())
+def test_optimize_returns_a_documented_exit_code(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:  # a result, not inf
+        payload = json.loads(out.getvalue())
+        assert math.isfinite(payload["delta_tot_star"]) and math.isfinite(payload["delta_peak_tot_star"])

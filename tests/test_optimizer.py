@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 from aoi_mg11 import optimizer
 from aoi_mg11.analytic import SystemConfig, avg_age
+from aoi_mg11.cli import main
 from aoi_mg11.distributions import Deterministic, Exponential, Gamma, Uniform
 from aoi_mg11.errors import InvariantViolationError, ParameterDomainError
 from aoi_mg11.optimizer import optimal_allocation, priority_frontier, total_age
@@ -128,6 +132,11 @@ class TestBatchedSampling:
         with pytest.raises(ParameterDomainError):
             priority_frontier(1.5, 3, Exponential(1.0), 1, (0.5,), residual_split=(1.0, 0.0))
 
+    def test_nan_share_rejected(self):
+        # fsum of the residual split is NaN, which no `> tol` test catches
+        with pytest.raises(ParameterDomainError, match="every stream probability must be > 0"):
+            priority_frontier(1.5, 3, Exponential(1.0), 1, (0.5,), residual_split=(math.nan, 1.0))
+
 
 class TestPriorityFrontier:
     def test_reference_grid(self):
@@ -193,3 +202,49 @@ class TestRandomConfigs:
         offset = 4 * dist.exp_weighted_mean(1.2) / dist.laplace(1.2)
         assert res.delta_peak_tot_star - res.delta_tot_star == pytest.approx(offset, rel=1e-12)
         assert res.max_violation == 0.0
+
+
+# Systems that analyze rejects with exit 3: P(lam) underflows to 0 at the
+# first, E[Y^2] overflows at the second.
+OUT_OF_RANGE = [(1e6, Deterministic(1.0)), (1e-310, Exponential(1.0))]
+
+
+def analyze_message(tmp_path, lam, dist, probs):
+    """What `aoi analyze` prints to stderr after "domain error: " for the system."""
+    path = tmp_path / "cfg.json"
+    system = {"total_rate": lam, "stream_probs": probs, "service": dist.to_config()}
+    path.write_text(json.dumps({"system": system}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["analyze", "-c", str(path)]) == 3
+    return err.getvalue().removeprefix("domain error: ").rstrip("\n")
+
+
+class TestFloatRange:
+    """The optimizer raises where analyze exits 3, with analyze's message for the
+    first system it evaluates, instead of dividing by zero or returning inf."""
+
+    @pytest.mark.parametrize("lam, dist", OUT_OF_RANGE)
+    def test_total_age(self, tmp_path, lam, dist):
+        with pytest.raises(ParameterDomainError) as info:
+            total_age(SystemConfig(lam, (0.5, 0.5), dist))
+        assert str(info.value) == analyze_message(tmp_path, lam, dist, [0.5, 0.5])
+
+    @pytest.mark.parametrize("lam, dist", OUT_OF_RANGE)
+    def test_optimal_allocation(self, tmp_path, lam, dist):
+        with pytest.raises(ParameterDomainError) as info:
+            optimal_allocation(lam, 3, dist)
+        assert str(info.value) == analyze_message(tmp_path, lam, dist, [1 / 3] * 3)
+
+    @pytest.mark.parametrize("lam, dist", OUT_OF_RANGE)
+    def test_priority_frontier(self, tmp_path, lam, dist):
+        with pytest.raises(ParameterDomainError) as info:
+            priority_frontier(lam, 3, dist, 1, (0.2, 0.5))
+        assert str(info.value) == analyze_message(tmp_path, lam, dist, [0.2, 0.4, 0.4])
+
+    def test_scalar_metric_outside_the_range_of_its_report(self, tmp_path):
+        # the average age 1e160 is finite, but E[Y^2] = 2e320 is not
+        cfg = SystemConfig(1e-160, (1.0,), Exponential(1.0))
+        with pytest.raises(ParameterDomainError) as info:
+            avg_age(cfg, 1)
+        assert str(info.value) == analyze_message(tmp_path, 1e-160, Exponential(1.0), [1.0])
