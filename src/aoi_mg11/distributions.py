@@ -185,7 +185,13 @@ class Uniform(ServiceDistribution):
             a, b = self.lower, self.upper
             return 1.0 - s * (a + b) / 2.0 + s * s * (a * a + a * b + b * b) / 6.0
         x = s * (self.upper - self.lower)
-        return math.exp(-s * self.lower) * _em1_over(x)
+        try:
+            value = math.exp(-s * self.lower) * _em1_over(x)
+        except OverflowError:  # e^{-s a} or e^{-x} leaves the float range
+            value = math.inf
+        if value == math.inf:
+            raise ParameterDomainError(f"E[e^(-sS)] at s={s} is outside the float range")
+        return value
 
     def exp_weighted_mean(self, s: float) -> float:
         a, b = self.lower, self.upper

@@ -9,10 +9,14 @@ arrivals: a chunk needs only the next arrival and each stream's last delivery,
 so memory does not grow with the horizon, and per-stream tallies are running
 sums.
 
-Arrivals come from one merged exponential(lam) gap stream. The stream label of
-each arrival is drawn by competing per-stream exponential clocks, one RNG
-substream per stream, so that permuting stream labels together with their
-substreams permutes the results exactly.
+Arrivals come from one merged exponential(lam) gap stream. Whether an arrival
+is delivered does not depend on its stream, and stream labels are i.i.d. and
+independent of the arrival and service times, so only the delivered arrivals
+are labelled, in order. A label is drawn by competing per-stream exponential
+clocks, one RNG substream per stream, so that permuting stream labels together
+with their substreams permutes the results exactly. The event trace labels the
+undelivered arrivals from M further substreams of their own, so a traced run's
+statistics equal an untraced run's.
 """
 
 from __future__ import annotations
@@ -148,6 +152,20 @@ class SimResult:
     trace: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
 
+def _labels(rngs: list[np.random.Generator], probs: tuple[float, ...], n: int) -> np.ndarray:
+    """Streams (0-based) of n arrivals, by competing exponential clocks with one
+    RNG per stream; a strict < keeps the lowest stream on ties."""
+    best = rngs[0].exponential(1.0, n)
+    best /= probs[0]
+    labels = np.zeros(n, dtype=np.min_scalar_type(len(rngs)))
+    for j in range(1, len(rngs)):
+        score = rngs[j].exponential(1.0, n)
+        score /= probs[j]
+        np.putmask(labels, score < best, j)
+        np.minimum(best, score, out=best)
+    return labels
+
+
 # Arrivals simulated at a time. It sets the memory of a replication, whatever
 # its horizon; the sample path does not depend on it.
 _CHUNK = 1 << 16
@@ -164,10 +182,14 @@ def _simulate_replication(
 ) -> tuple[list[PerStreamTally], tuple[np.ndarray, ...] | None]:
     m = cfg.num_streams
     lam = cfg.total_rate
-    children = seed_seq.spawn(2 + m)
+    # the trace's substreams are spawned on every pass, so that a count-rule
+    # rerun draws from the same children whether or not it is traced
+    children = seed_seq.spawn(2 + 2 * m)
     rng_arrivals = np.random.default_rng(children[0])
     rng_service = np.random.default_rng(children[1])
     rng_select = [np.random.default_rng(children[2 + substreams[j]]) for j in range(m)]
+    if collect_trace:
+        rng_trace = [np.random.default_rng(children[2 + m + substreams[j]]) for j in range(m)]
 
     t_w = warmup_fraction * horizon
     tallies = [PerStreamTally(j + 1, horizon - t_w, mgf_sums=dict.fromkeys(probes, (0.0, 0.0))) for j in range(m)]
@@ -188,17 +210,6 @@ def _simulate_replication(
         arr, nxt = arr[:n], nxt[:n]
         carry, first = times[-1], 0
 
-        # stream of each arrival via competing exponential clocks, one RNG per
-        # stream; a strict < keeps the lowest stream on ties
-        best = rng_select[0].exponential(1.0, n)
-        best /= cfg.stream_probs[0]
-        labels = np.zeros(n, dtype=np.min_scalar_type(m))
-        for j in range(1, m):
-            score = rng_select[j].exponential(1.0, n)
-            score /= cfg.stream_probs[j]
-            np.putmask(labels, score < best, j)
-            np.minimum(best, score, out=best)
-
         services = np.asarray(cfg.service.sample(rng_service, n), dtype=float)
 
         # delivered iff service completes before the next arrival (ties:
@@ -208,7 +219,7 @@ def _simulate_replication(
         delivered = beats_next & (done <= horizon)
 
         idx = np.flatnonzero(delivered)
-        d_label = labels[idx]
+        d_label = _labels(rng_select, cfg.stream_probs, len(idx))
         for j in range(m):
             sel = idx[d_label == j]
             if not len(sel):
@@ -247,6 +258,9 @@ def _simulate_replication(
                 t.mgf_sums[s] = (total + float(e.sum()), sq + float(np.sum(e * e)))
 
         if collect_trace:
+            labels = np.empty(n, dtype=d_label.dtype)
+            labels[idx] = d_label
+            labels[~delivered] = _labels(rng_trace, cfg.stream_probs, n - len(idx))
             pre = np.flatnonzero(~beats_next & (nxt <= horizon))
             kinds = np.array((_ARRIVAL, _DELIVERY, _PREEMPTION), dtype=np.int8)
             for part, column in zip(

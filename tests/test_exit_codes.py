@@ -123,3 +123,16 @@ def test_optimize_returns_a_documented_exit_code(argv):
     if code == 0:  # a result, not inf
         payload = json.loads(out.getvalue())
         assert math.isfinite(payload["delta_tot_star"]) and math.isfinite(payload["delta_peak_tot_star"])
+
+
+def test_validate_reports_an_mgf_outside_the_float_range(tmp_path):
+    # the numeric E[T] evaluates Uniform.laplace at total_rate - 1e-4 < 0,
+    # where e^{1e-4 (upper - lower)} leaves the float range
+    service = {"type": "uniform", "lower": 1.3712311036634774e-07, "upper": 2.8278728822300237e18}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": {"total_rate": 1.64927779342283e-133, "stream_probs": [1.0], "service": service}}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["analyze", "-c", str(path)]) == 0
+        assert main(["validate", "-c", str(path)]) == 3
+    assert "outside the float range" in err.getvalue()

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_mg11 import cli, simulator
 from aoi_mg11.analytic import (
@@ -126,6 +129,61 @@ class TestDeterminismAndSymmetry:
             assert sb.delivery_rate == sa.delivery_rate
 
 
+def _stats_without_label(stats: simulator.StreamStats) -> dict:
+    return {k: v for k, v in dataclasses.asdict(stats).items() if k != "stream"}
+
+
+class TestDeliveredOnlyLabels:
+    """Only delivered arrivals draw labels from the statistics' substreams; the
+    trace labels the rest from substreams of its own."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [{"max_time": 1e5, "replications": 2}, {"min_deliveries_per_stream": 3, "replications": 4, "warmup_fraction": 0.5}],
+        ids=["time", "count-with-reruns"],
+    )
+    def test_trace_does_not_change_the_statistics(self, rule):
+        # the time rule spans three chunks, so a later chunk's labels would show
+        # any draw the trace took from the statistics' substreams
+        params = SimParams(REF, seed=2, mgf_probes=(-0.5, -1.0), **rule)
+        plain, traced = run(params), run(params, collect_trace=True)
+        assert traced.trace is not None and plain.trace is None
+        assert traced.horizons == plain.horizons
+        assert traced.streams == plain.streams
+        assert traced.tallies == plain.tallies
+
+    def test_trace_delivery_rows_match_the_tallies(self):
+        res = run(SimParams(REF, max_time=2e4, seed=3, warmup_fraction=0.0), collect_trace=True)
+        _, kind, stream, _ = res.trace
+        delivered = stream[kind == simulator.TRACE_KINDS.index("delivery")]
+        for t in res.tallies[0]:
+            assert t.deliveries > 0
+            assert np.count_nonzero(delivered == t.stream) == t.deliveries
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        weights=st.integers(2, 6).flatmap(lambda m: st.lists(st.floats(1.0, 10.0), min_size=m, max_size=m)),
+        data=st.data(),
+    )
+    def test_relabelling_permutes_every_output(self, weights, data):
+        m = len(weights)
+        perm = tuple(data.draw(st.permutations(range(m))))  # new label j is old stream perm[j]
+        probs = tuple(w / math.fsum(weights) for w in weights)
+        base_cfg = SystemConfig(1.5, probs, Exponential(1.0))
+        perm_cfg = SystemConfig(1.5, tuple(probs[perm[j]] for j in range(m)), Exponential(1.0))
+        common = {"max_time": 2e3, "seed": 13, "replications": 2, "mgf_probes": (-0.5,)}
+        base = run(SimParams(base_cfg, **common), collect_trace=True)
+        relabelled = run(SimParams(perm_cfg, stream_substreams=perm, **common), collect_trace=True)
+
+        for j in range(m):
+            np.testing.assert_equal(
+                _stats_without_label(relabelled.streams[j]), _stats_without_label(base.streams[perm[j]])
+            )
+        for column in (0, 1, 3):
+            np.testing.assert_array_equal(relabelled.trace[column], base.trace[column])
+        np.testing.assert_array_equal(np.array(perm)[relabelled.trace[2] - 1], base.trace[2] - 1)
+
+
 class TestStopRules:
     def test_min_deliveries(self):
         res = run(
@@ -140,7 +198,7 @@ class TestStopRules:
             REF, min_deliveries_per_stream=3, seed=2, replications=4, warmup_fraction=0.5
         )
         res = run(params)
-        assert res.horizons == (104.0, 65.0, 65.0, 65.0)
+        assert res.horizons == (104.0, 65.0, 104.0, 65.0)
         for tallies in res.tallies:
             assert all(t.deliveries >= 3 for t in tallies)
 
