@@ -41,8 +41,8 @@ class ServiceDistribution:
         """E[S e^{-sS}] = -d/ds E[e^{-sS}], in closed form."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """i.i.d. strictly positive draws from the law."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size i.i.d. strictly positive draws from the law."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -73,7 +73,7 @@ class Exponential(ServiceDistribution):
         except (OverflowError, ZeroDivisionError) as exc:  # (rate + s)^2 leaves the float range
             raise ParameterDomainError(f"E[S e^(-sS)] at s={s} is outside the float range") from exc
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
     def to_config(self) -> dict:
@@ -104,7 +104,7 @@ class Gamma(ServiceDistribution):
             raise ParameterDomainError(f"argument {s} <= -1/scale {-1.0 / self.scale}")
         return self.shape * self.scale * (1.0 + s * self.scale) ** (-(self.shape + 1.0))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.gamma(self.shape, self.scale, size)
 
     def to_config(self) -> dict:
@@ -128,9 +128,7 @@ class Deterministic(ServiceDistribution):
     def exp_weighted_mean(self, s: float) -> float:
         return self.value * math.exp(-s * self.value)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
+    def sample(self, rng, size):
         return np.full(size, self.value)
 
     def to_config(self) -> dict:
@@ -180,10 +178,7 @@ class Uniform(ServiceDistribution):
         return 0.5 * (self.lower + self.upper)
 
     def laplace(self, s: float) -> float:
-        # removable singularity at s = 0
-        if abs(s) < 1e-12:
-            a, b = self.lower, self.upper
-            return 1.0 - s * (a + b) / 2.0 + s * s * (a * a + a * b + b * b) / 6.0
+        # removable singularity at s = 0: _em1_over is accurate on any scale down to x = 0
         x = s * (self.upper - self.lower)
         try:
             value = math.exp(-s * self.lower) * _em1_over(x)
@@ -199,13 +194,8 @@ class Uniform(ServiceDistribution):
         g = _em1_over(x)
         return math.exp(-s * a) * (a * g - (b - a) * _dem1_over(x))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # exact-zero draws (possible only when lower == 0) are redrawn
-        if size is None:
-            x = rng.uniform(self.lower, self.upper)
-            while x <= 0.0:
-                x = rng.uniform(self.lower, self.upper)
-            return x
         out = rng.uniform(self.lower, self.upper, size)
         bad = out <= 0.0
         while bad.any():

@@ -40,10 +40,10 @@ __all__ = [
     "path_enumeration_oracle",
 ]
 
-# node names: idle / busy-with-tagged-stream / busy-with-other-stream /
-# idle-after-foreign-delivery / absorbing sink (tagged delivery)
-Q0, Q1, Q1P, Q0P, QBAR = "q0", "q1", "q1'", "q0'", "qbar"
-_TRANSIENT = (Q0, Q1, Q1P, Q0P)
+# transient nodes, as indices into FlowGraph.mat and FlowGraph.exit: idle /
+# busy with the tagged stream / busy with another stream / idle after a
+# foreign delivery; the sink (a tagged delivery) has no index
+Q0, Q1, Q1P, Q0P = range(4)
 
 
 @dataclass(frozen=True)
@@ -110,31 +110,30 @@ def edge_weights(cfg: SystemConfig, s: float) -> EdgeWeights:
     return EdgeWeights(d1=d1, d2=d2, d3=d3, d4=d2, d5=d1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowGraph:
-    """The ten fixed labeled edges of the detour flow graph."""
+    """The detour flow graph as matrices over the transient nodes Q0, Q1, Q1P, Q0P.
 
-    edges: tuple[tuple[str, str, float], ...]
+    mat[i, j] is the label of the edge i -> j and exit[i] that of the edge
+    i -> sink; a zero entry is no edge.
+    """
 
-    def out_edges(self, node: str) -> tuple[tuple[str, str, float], ...]:
-        return tuple(e for e in self.edges if e[0] == node)
+    mat: np.ndarray
+    exit: np.ndarray
 
 
 def build_graph(pr: ClockProbabilities, w: EdgeWeights) -> FlowGraph:
-    return FlowGraph(
-        edges=(
-            (Q0, Q1, pr.a * w.d1),
-            (Q0, Q1P, pr.z * w.d5),
-            (Q1, Q1, pr.b * w.d2),
-            (Q1, QBAR, pr.u * w.d3),
-            (Q1, Q1P, pr.v * w.d4),
-            (Q1P, Q0P, pr.u * w.d3),
-            (Q1P, Q1P, pr.v * w.d4),
-            (Q1P, Q1, pr.b * w.d2),
-            (Q0P, Q1P, pr.z * w.d5),
-            (Q0P, Q1, pr.a * w.d1),
-        )
+    """The ten labeled edges of the detour flow graph."""
+    ad1, bd2, ud3, vd4, zd5 = pr.a * w.d1, pr.b * w.d2, pr.u * w.d3, pr.v * w.d4, pr.z * w.d5
+    mat = np.array(
+        [
+            [0.0, ad1, zd5, 0.0],  # Q0
+            [0.0, bd2, vd4, 0.0],  # Q1
+            [0.0, bd2, vd4, ud3],  # Q1P
+            [0.0, ad1, zd5, 0.0],  # Q0P
+        ]
     )
+    return FlowGraph(mat=mat, exit=np.array([0.0, ud3, 0.0, 0.0]))
 
 
 def transfer_function(w: EdgeWeights, pr: ClockProbabilities) -> float:
@@ -154,57 +153,35 @@ def solve_transfer_by_elimination(g: FlowGraph) -> float:
     """Transfer to the sink by solving the flow-graph linear system directly.
 
     With H(source) = 1 and H(w) = sum over incoming edges of H(src) * label,
-    the four non-source nodes give a 4x4 linear system.
+    the unknowns Q1, Q1P, Q0P and the sink give the 4x4 linear system
+    (I - [mat[1:, 1:]^T; exit[1:]]) H = (mat[Q0, 1:], exit[Q0]).
     """
-    unknowns = [Q1, Q1P, Q0P, QBAR]
-    idx = {n: k for k, n in enumerate(unknowns)}
-    mat = np.eye(4)
-    rhs = np.zeros(4)
-    for src, dst, label in g.edges:
-        if dst == Q0:
-            continue
-        if src == Q0:
-            rhs[idx[dst]] += label
-        else:
-            mat[idx[dst], idx[src]] -= label
+    inflow = np.zeros((4, 4))
+    inflow[:3, :3] = g.mat[1:, 1:].T
+    inflow[3, :3] = g.exit[1:]
+    mat = np.eye(4) - inflow
+    rhs = np.append(g.mat[Q0, 1:], g.exit[Q0])
     det = np.linalg.det(mat)
     if abs(det) < 1e-12:
         raise SingularSystemError(f"flow-graph system is singular (det={det!r})")
-    sol = np.linalg.solve(mat, rhs)
-    return float(sol[idx[QBAR]])
+    return float(np.linalg.solve(mat, rhs)[3])
 
 
-def enumerate_paths(
-    g: FlowGraph, max_edges: int
-) -> Iterator[tuple[tuple[str, str, float], ...]]:
-    """Depth-first enumeration of all source-to-sink paths with <= max_edges edges.
+def enumerate_paths(g: FlowGraph, max_edges: int) -> Iterator[tuple[float, ...]]:
+    """Depth-first enumeration of the edge labels of every source-to-sink path
+    with <= max_edges edges.
 
     Intended for small depths; the number of paths grows exponentially.
     """
-    stack: list[tuple[str, tuple]] = [(Q0, ())]
+    stack: list[tuple[int, tuple[float, ...]]] = [(Q0, ())]
     while stack:
-        node, path = stack.pop()
-        if node == QBAR:
-            yield path
+        node, labels = stack.pop()
+        if len(labels) >= max_edges:
             continue
-        if len(path) >= max_edges:
-            continue
-        for e in g.out_edges(node):
-            stack.append((e[1], path + (e,)))
-
-
-def _transition_matrices(pr: ClockProbabilities, w: EdgeWeights):
-    """Signed transient-to-transient matrix W and exit vector t (to the sink)."""
-    g = build_graph(pr, w)
-    idx = {n: k for k, n in enumerate(_TRANSIENT)}
-    mat = np.zeros((4, 4))
-    exit_vec = np.zeros(4)
-    for src, dst, label in g.edges:
-        if dst == QBAR:
-            exit_vec[idx[src]] += label
-        else:
-            mat[idx[src], idx[dst]] += label
-    return mat, exit_vec
+        if g.exit[node]:
+            yield labels + (g.exit[node],)
+        for dst in np.flatnonzero(g.mat[node]):
+            stack.append((dst, labels + (g.mat[node, dst],)))
 
 
 def path_enumeration_oracle(
@@ -224,7 +201,8 @@ def path_enumeration_oracle(
     """
     if max_edges < 2:
         raise ParameterDomainError(f"max_edges must be >= 2, got {max_edges}")
-    mat, exit_vec = _transition_matrices(pr, w)
+    g = build_graph(pr, w)
+    mat, exit_vec = g.mat, g.exit
     mat_abs = np.abs(mat)
     rho = float(np.max(np.abs(np.linalg.eigvals(mat_abs))))
     if rho >= 1.0:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aoi_mg11 import cli, simulator
 from aoi_mg11.analytic import SystemConfig
 from aoi_mg11.cli import main
+from aoi_mg11.config import load_run_config
 from aoi_mg11.distributions import Exponential
 from aoi_mg11.errors import InsufficientDataError
 
@@ -296,6 +297,20 @@ def test_peak_equal_to_average_at_extreme_scale(tmp_path):
     assert main(["analyze", "-c", write_config(tmp_path, system=system)]) == 0
 
 
+def test_uniform_service_on_any_time_scale(tmp_path):
+    # lam = 1e-13 with Uniform(0, 2e13) is lam = 1 with Uniform(0, 2) on a
+    # clock 1e13 times slower, so every age is 1e13 times larger
+    rows = {}
+    for name, lam, upper in (("unit", 1.0, 2.0), ("slow", 1e-13, 2e13)):
+        out = tmp_path / f"{name}.csv"
+        system = {"total_rate": lam, "stream_probs": [1.0], "service": {"type": "uniform", "lower": 0, "upper": upper}}
+        assert main(["analyze", "-c", write_config(tmp_path, system=system, output={"path": str(out)})]) == 0
+        rows[name] = read_csv(out)[0]
+    assert rows["slow"]["avg_age"] == "2.31304e+13"
+    for col in ("avg_age", "peak_age", "mean_T", "mean_Y"):
+        assert float(rows["slow"][col]) == pytest.approx(1e13 * float(rows["unit"][col]), rel=1e-5)
+
+
 class TestValidate:
     def validate_cfg(self, tmp_path, report=None, probes=(-0.5,)):
         output = {"path": str(report)} if report else {}
@@ -348,6 +363,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "domain error: clock U" in err
         assert "Traceback" not in err
+
+
+def test_numeric_moments_in_microseconds(tmp_path):
+    # the README system with time in microseconds: numeric derivatives step
+    # by 1e-3 / E[X], so they check it as closely as in seconds
+    system = dict(REF_SYSTEM, total_rate=1.5e-6, service={"type": "exponential", "rate": 1e-6})
+    probes = {"mgf_s_values": [-2.5e-7, -5e-7, -1e-6]}
+    run_cfg = load_run_config(write_config(tmp_path, system=system, probes=probes))
+    numeric = [c for c in cli._run_validation(run_cfg, None, {}) if "_numeric" in c["name"]]
+    assert len(numeric) == 2 * 3 + 1
+    assert all(c["passed"] for c in numeric), [c["name"] for c in numeric if not c["passed"]]
 
 
 def test_insufficient_data_exit_code(tmp_path, monkeypatch, capsys):

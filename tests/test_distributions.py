@@ -127,7 +127,6 @@ class TestExpWeightedMean:
 
 class TestSampling:
     def test_deterministic_point_mass(self, rng):
-        assert Deterministic(2.0).sample(rng) == 2.0
         assert np.all(Deterministic(2.0).sample(rng, 10) == 2.0)
 
     def test_exponential_mean(self, rng):

@@ -8,11 +8,13 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_mg11.cli import _service_dest, main
-from aoi_mg11.distributions import CONFIG_FIELDS
+from aoi_mg11.distributions import CONFIG_FIELDS, Uniform
+from aoi_mg11.errors import ParameterDomainError
 
 # JSON values a number field must reject
 WILD = st.one_of(
@@ -126,8 +128,11 @@ def test_optimize_returns_a_documented_exit_code(argv):
 
 
 def test_validate_reports_an_mgf_outside_the_float_range(tmp_path):
-    # the numeric E[T] evaluates Uniform.laplace at total_rate - 1e-4 < 0,
-    # where e^{1e-4 (upper - lower)} leaves the float range
+    # at s = -1e-4, e^{1e-4 (upper - lower)} leaves the float range
+    with pytest.raises(ParameterDomainError, match="outside the float range"):
+        Uniform(1.37e-7, 2.83e18).laplace(-1e-4)
+    # validate's numeric derivatives step by 1e-3 / E[X] and stay in range;
+    # the clock B sampler accepts no draws (P(lam) ~ 0), a domain error
     service = {"type": "uniform", "lower": 1.3712311036634774e-07, "upper": 2.8278728822300237e18}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"system": {"total_rate": 1.64927779342283e-133, "stream_probs": [1.0], "service": service}}))
@@ -135,4 +140,4 @@ def test_validate_reports_an_mgf_outside_the_float_range(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["analyze", "-c", str(path)]) == 0
         assert main(["validate", "-c", str(path)]) == 3
-    assert "outside the float range" in err.getvalue()
+    assert "domain error: clock B" in err.getvalue()

@@ -7,9 +7,6 @@ from aoi_mg11.errors import DivergenceError, ParameterDomainError, SingularSyste
 from aoi_mg11.flowgraph import (
     Q0,
     Q1,
-    Q1P,
-    Q0P,
-    QBAR,
     ClockProbabilities,
     EdgeWeights,
     FlowGraph,
@@ -84,22 +81,19 @@ class TestTransferFunction:
             assert reduced == pytest.approx(interdeparture_mgf(cfg, 1, s), rel=1e-12)
 
 
+def _graph(edges, exits):
+    """A FlowGraph from {(src, dst): label} and {src: label to the sink}."""
+    mat, exit_vec = np.zeros((4, 4)), np.zeros(4)
+    for (src, dst), label in edges.items():
+        mat[src, dst] = label
+    for src, label in exits.items():
+        exit_vec[src] = label
+    return FlowGraph(mat=mat, exit=exit_vec)
+
+
 class TestElimination:
     def test_single_path_graph(self):
-        g = FlowGraph(
-            edges=(
-                (Q0, Q1, 1.0),
-                (Q0, Q1P, 0.0),
-                (Q1, Q1, 0.0),
-                (Q1, QBAR, 1.0),
-                (Q1, Q1P, 0.0),
-                (Q1P, Q0P, 0.0),
-                (Q1P, Q1P, 0.0),
-                (Q1P, Q1, 0.0),
-                (Q0P, Q1P, 0.0),
-                (Q0P, Q1, 0.0),
-            )
-        )
+        g = _graph({(Q0, Q1): 1.0}, {Q1: 1.0})
         assert solve_transfer_by_elimination(g) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_closed_form(self):
@@ -110,20 +104,7 @@ class TestElimination:
 
     def test_divergent_self_loop_is_singular(self):
         # b*D2 = 1 with v = 0: the q1 self-loop geometric series diverges
-        g = FlowGraph(
-            edges=(
-                (Q0, Q1, 0.5),
-                (Q0, Q1P, 0.0),
-                (Q1, Q1, 1.0),
-                (Q1, QBAR, 0.5),
-                (Q1, Q1P, 0.0),
-                (Q1P, Q0P, 0.0),
-                (Q1P, Q1P, 0.0),
-                (Q1P, Q1, 0.0),
-                (Q0P, Q1P, 0.0),
-                (Q0P, Q1, 0.0),
-            )
-        )
+        g = _graph({(Q0, Q1): 0.5, (Q1, Q1): 1.0}, {Q1: 0.5})
         with pytest.raises(SingularSystemError):
             solve_transfer_by_elimination(g)
 
@@ -161,7 +142,7 @@ class TestPathEnumeration:
         w = edge_weights(REF, -0.5)
         g = build_graph(pr, w)
         for depth in (2, 4, 6, 8):
-            brute = sum(np.prod([e[2] for e in p]) for p in enumerate_paths(g, depth))
+            brute = sum(np.prod(p) for p in enumerate_paths(g, depth))
             value, _ = path_enumeration_oracle(pr, w, max_edges=depth)
             assert value == pytest.approx(brute, rel=1e-12)
 
@@ -169,7 +150,7 @@ class TestPathEnumeration:
     def test_doubling_matches_brute_force_off_powers_of_two(self, depth):
         pr = clock_probs(REF, 3)
         w = edge_weights(REF, -0.25)
-        brute = sum(np.prod([e[2] for e in p]) for p in enumerate_paths(build_graph(pr, w), depth))
+        brute = sum(np.prod(p) for p in enumerate_paths(build_graph(pr, w), depth))
         value, _ = path_enumeration_oracle(pr, w, max_edges=depth)
         assert value == pytest.approx(brute, rel=1e-13)
 
@@ -178,14 +159,9 @@ class TestPathEnumeration:
         # sum_{k<n} start W^k t, one product a step, with |W| for the tail
         pr = clock_probs(REF, i)
         w = edge_weights(REF, s)
-        idx = {n: k for k, n in enumerate((Q0, Q1, Q1P, Q0P))}
-        mat, exit_vec = np.zeros((4, 4)), np.zeros(4)
-        for src, dst, label in build_graph(pr, w).edges:
-            if dst == QBAR:
-                exit_vec[idx[src]] += label
-            else:
-                mat[idx[src], idx[dst]] += label
-        v = np.eye(4)[0]
+        g = build_graph(pr, w)
+        mat, exit_vec = g.mat, g.exit
+        v = np.eye(4)[Q0]
         v_abs = v.copy()
         total = 0.0
         for _ in range(1000):
@@ -235,6 +211,7 @@ class TestFourWayAgreement:
     def test_graph_shape(self):
         pr = clock_probs(REF, 1)
         g = build_graph(pr, UNIT)
-        assert len(g.edges) == 10
-        assert not [e for e in g.edges if e[1] == Q0]
-        assert not [e for e in g.edges if e[0] == QBAR]
+        # no edge into the source, an exit only from Q1, ten edges in all
+        assert not g.mat[:, Q0].any()
+        assert np.flatnonzero(g.exit).tolist() == [Q1]
+        assert np.count_nonzero(g.mat) + np.count_nonzero(g.exit) == 10
