@@ -173,8 +173,8 @@ def moments_from_mgf(mgf: Callable[[float], float], order: int, h: float = 1e-4)
     """Extract E[X] or E[X^2] from an MGF by central differences at 0.
 
     One Richardson step refines the O(h^2) central-difference estimate. h is
-    in units of 1/time, so a step scaled to the system, such as 1e-3 / E[X],
-    works in any time unit.
+    an absolute step in units of 1/time: the default suits rates near 1, and
+    a caller on another time scale passes a step of its own.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")

@@ -238,20 +238,26 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None, expect: dict[
             value, bound = flowgraph.path_enumeration_oracle(pr, w, max_edges=4096)
             add(f"path_sum[i={i},s={s}]", value, ref, bound + 1e-10 * abs(ref))
 
-    # closed-form moments vs numeric differentiation of the MGFs, with a step
-    # of 1e-3 / E[X] so that any time unit works; the one report every
-    # closed-form reference below is read from
+    # closed-form moments vs numeric differentiation of the MGFs. The step
+    # 1e-3 * min(1/E[X], lam) scales with the time unit and stays 1e-3 of
+    # the way to the MGF's nearest singularity: T's MGF P(lam - s) / P(lam)
+    # is finite up to s = lam, and Y_i's pole lies beyond 1/E[Y_i] <= lam.
+    # The one report every closed-form reference below is read from:
     report = analytic.age_report(cfg)
+
+    def step(mean: float) -> float:
+        return 1e-3 * min(1.0 / mean, cfg.total_rate)
+
     e_t = report.streams[0].mean_system_time
     add(
         "mean_system_time_numeric",
-        analytic.moments_from_mgf(lambda s: analytic.system_time_mgf(cfg, s), 1, h=1e-3 / e_t),
+        analytic.moments_from_mgf(lambda s: analytic.system_time_mgf(cfg, s), 1, h=step(e_t)),
         e_t,
         1e-5 * abs(e_t),
     )
     for i, ref_row in enumerate(report.streams, start=1):
         phi = lambda s, i=i: analytic.interdeparture_mgf(cfg, i, s)
-        h = 1e-3 / ref_row.mean_interdeparture
+        h = step(ref_row.mean_interdeparture)
         for name, order, ref in (
             ("mean_interdeparture_numeric", 1, ref_row.mean_interdeparture),
             ("second_moment_numeric", 2, ref_row.second_moment_interdeparture),

@@ -169,7 +169,8 @@ def solve_transfer_by_elimination(g: FlowGraph) -> float:
 
 def enumerate_paths(g: FlowGraph, max_edges: int) -> Iterator[tuple[float, ...]]:
     """Depth-first enumeration of the edge labels of every source-to-sink path
-    with <= max_edges edges.
+    with <= max_edges edges whose labels are all nonzero; a zero label is no
+    edge, so the paths left out add nothing to the path sum.
 
     Intended for small depths; the number of paths grows exponentially.
     """

@@ -268,7 +268,7 @@ class TestTimeRescaling:
         lam=st.floats(0.01, 10.0),
         weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
         dist=services,
-        c=st.integers(-15, 15).map(lambda k: 10.0**k),
+        c=st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(-15, 15)),
     )
     def test_every_metric_scales_with_time(self, lam, weights, dist, c):
         # service time c*S at rate lam/c is the same system on a clock c times slower

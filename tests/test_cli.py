@@ -367,13 +367,22 @@ class TestValidate:
 
 def test_numeric_moments_in_microseconds(tmp_path):
     # the README system with time in microseconds: numeric derivatives step
-    # by 1e-3 / E[X], so they check it as closely as in seconds
+    # by 1e-3 * min(1/E[X], lam), so they check it as closely as in seconds
     system = dict(REF_SYSTEM, total_rate=1.5e-6, service={"type": "exponential", "rate": 1e-6})
     probes = {"mgf_s_values": [-2.5e-7, -5e-7, -1e-6]}
     run_cfg = load_run_config(write_config(tmp_path, system=system, probes=probes))
     numeric = [c for c in cli._run_validation(run_cfg, None, {}) if "_numeric" in c["name"]]
     assert len(numeric) == 2 * 3 + 1
     assert all(c["passed"] for c in numeric), [c["name"] for c in numeric if not c["passed"]]
+
+
+@pytest.mark.parametrize("shape", [1e-3, 5e-3])
+def test_validate_gamma_of_small_shape(tmp_path, shape):
+    # T's MGF is singular at s = lam + 1/scale = 2.5; a step of 1e-3 / E[T]
+    # = 2.5e-3 / shape would reach it (shape 1e-3) or come too close for the
+    # 1e-5 tolerance (shape 5e-3), a step below 1e-3 * lam does neither
+    system = dict(REF_SYSTEM, service={"type": "gamma", "shape": shape, "scale": 1.0})
+    assert main(["validate", "-c", write_config(tmp_path, system=system)]) == 0
 
 
 def test_insufficient_data_exit_code(tmp_path, monkeypatch, capsys):

@@ -131,7 +131,7 @@ def test_validate_reports_an_mgf_outside_the_float_range(tmp_path):
     # at s = -1e-4, e^{1e-4 (upper - lower)} leaves the float range
     with pytest.raises(ParameterDomainError, match="outside the float range"):
         Uniform(1.37e-7, 2.83e18).laplace(-1e-4)
-    # validate's numeric derivatives step by 1e-3 / E[X] and stay in range;
+    # validate's numeric derivatives step by 1e-3 * min(1/E[X], lam) and stay in range;
     # the clock B sampler accepts no draws (P(lam) ~ 0), a domain error
     service = {"type": "uniform", "lower": 1.3712311036634774e-07, "upper": 2.8278728822300237e18}
     path = tmp_path / "cfg.json"
