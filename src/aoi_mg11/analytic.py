@@ -217,7 +217,7 @@ _PEAK = "peak age {1!r} not above average age {2!r} for stream {0}"
 
 
 def _disagree(direct, decomposed):
-    return np.abs(direct - decomposed) > _DUAL_ROUTE_TOL * np.maximum(np.abs(direct), 1.0)
+    return np.abs(direct - decomposed) > _DUAL_ROUTE_TOL * np.abs(direct)
 
 
 def age_columns(
@@ -233,6 +233,13 @@ def age_columns(
     float range. The first element, in row order, to fail a check raises that check's error.
     """
     check_systems(total_rates, stream_probs)
+    return _age_columns(total_rates, stream_probs, services)
+
+
+def _age_columns(
+    total_rates: np.ndarray, stream_probs: np.ndarray, services: list[ServiceDistribution]
+) -> dict[str, np.ndarray]:
+    """age_columns on systems that already passed check_systems."""
     terms = [(beats_arrival(law, x), law.exp_weighted_mean(x)) for law, x in zip(services, total_rates.tolist())]
     p, ew = np.array(terms).T
     p, ew = p[:, None], ew[:, None]
@@ -273,7 +280,8 @@ def age_columns(
 
 def age_report(cfg: SystemConfig) -> AgeReport:
     """All per-stream metrics plus totals: age_columns on the one system."""
-    columns = age_columns(np.array([cfg.total_rate], dtype=float), np.array([cfg.stream_probs]), [cfg.service])
+    # cfg passed check_systems when it was built
+    columns = _age_columns(np.array([cfg.total_rate], dtype=float), np.array([cfg.stream_probs]), [cfg.service])
     totals = [columns.pop(name).item() for name in ("total_avg_age", "total_peak_age")]
     per_stream = zip(*(c[0].tolist() for c in columns.values()))
     return AgeReport(tuple(StreamMetrics(i, *row) for i, row in enumerate(per_stream, start=1)), *totals)

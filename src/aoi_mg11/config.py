@@ -91,7 +91,7 @@ def _parse_system(obj: dict) -> SystemConfig:
             raise ConfigError("system.stream_rates: the total rate overflows") from exc
         if "total_rate" in obj:
             declared = finite_number(obj["total_rate"], "system.total_rate")
-            if abs(declared - total) > 1e-9 * max(1.0, total):
+            if abs(declared - total) > 1e-9 * total:
                 raise ConfigError(
                     f"system.total_rate {declared!r} does not match sum of stream_rates {total!r}"
                 )

@@ -8,8 +8,10 @@ available; arbitrary user-supplied densities are deliberately not supported.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +30,13 @@ __all__ = [
 
 
 class ServiceDistribution:
-    """Base class; concrete laws are the frozen dataclasses below."""
+    """Base class; concrete laws are the frozen dataclasses below.
+
+    A law's config spelling is its ``kind`` and its dataclass fields, in
+    constructor order: the law is declared once, by its class.
+    """
+
+    kind: ClassVar[str]
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -46,11 +54,13 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The config spelling that distribution_from_config builds this law from."""
+        return {"type": self.kind, **dataclasses.asdict(self)}
 
 
 @dataclass(frozen=True)
 class Exponential(ServiceDistribution):
+    kind: ClassVar[str] = "exponential"
     rate: float
 
     def __post_init__(self):
@@ -76,12 +86,10 @@ class Exponential(ServiceDistribution):
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
-    def to_config(self) -> dict:
-        return {"type": "exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Gamma(ServiceDistribution):
+    kind: ClassVar[str] = "gamma"
     shape: float
     scale: float
 
@@ -107,12 +115,10 @@ class Gamma(ServiceDistribution):
     def sample(self, rng, size):
         return rng.gamma(self.shape, self.scale, size)
 
-    def to_config(self) -> dict:
-        return {"type": "gamma", "shape": self.shape, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Deterministic(ServiceDistribution):
+    kind: ClassVar[str] = "deterministic"
     value: float
 
     def __post_init__(self):
@@ -130,9 +136,6 @@ class Deterministic(ServiceDistribution):
 
     def sample(self, rng, size):
         return np.full(size, self.value)
-
-    def to_config(self) -> dict:
-        return {"type": "deterministic", "value": self.value}
 
 
 def _em1_over(x: float) -> float:
@@ -163,6 +166,7 @@ def _dem1_over(x: float) -> float:
 
 @dataclass(frozen=True)
 class Uniform(ServiceDistribution):
+    kind: ClassVar[str] = "uniform"
     lower: float
     upper: float
 
@@ -203,24 +207,10 @@ class Uniform(ServiceDistribution):
             bad = out <= 0.0
         return out
 
-    def to_config(self) -> dict:
-        return {"type": "uniform", "lower": self.lower, "upper": self.upper}
 
-
+_CONFIG_CLASSES = {cls.kind: cls for cls in (Exponential, Gamma, Deterministic, Uniform)}
 # The config fields of each service law, in constructor order.
-CONFIG_FIELDS = {
-    "exponential": ("rate",),
-    "gamma": ("shape", "scale"),
-    "deterministic": ("value",),
-    "uniform": ("lower", "upper"),
-}
-
-_CONFIG_CLASSES = {
-    "exponential": Exponential,
-    "gamma": Gamma,
-    "deterministic": Deterministic,
-    "uniform": Uniform,
-}
+CONFIG_FIELDS = {kind: tuple(f.name for f in dataclasses.fields(cls)) for kind, cls in _CONFIG_CLASSES.items()}
 
 
 def finite_number(value, where: str) -> float:

@@ -46,7 +46,7 @@ def _check_factored(tot, tot_peak, probs: np.ndarray, lam: float, p_lam: float, 
     (1/(lam P)) * sum(1/p_i) form to 1e-12 relative in every row."""
     factored, factored_peak = _factored_totals((1.0 / probs).sum(axis=1), probs.shape[1], lam, p_lam, ew)
     for label, x, y in (("total age", tot, factored), ("total peak age", tot_peak, factored_peak)):
-        bad = np.abs(x - y) > 1e-12 * np.maximum(np.abs(x), 1.0)
+        bad = np.abs(x - y) > 1e-12 * np.abs(x)
         if bad.any():
             raise InvariantViolationError(f"{label}: summed {x[bad][0]!r} vs factored {y[bad][0]!r}")
 

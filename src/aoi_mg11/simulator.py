@@ -431,7 +431,8 @@ def clock_conditional_sampler(
 
     Draws n independent (X, Lambda, S) triples, keeps the clock value on the
     conditioning event, and returns the empirical MGF (mean, standard error)
-    at each probe. Aborts if fewer than 1 in 10^4 draws are accepted.
+    at each probe; the default probes are fractions of lam, so they scale
+    with the time unit. Aborts if fewer than 1 in 10^4 draws are accepted.
     """
     if n < 1:
         raise ParameterDomainError(f"n must be >= 1, got {n}")
@@ -441,7 +442,7 @@ def clock_conditional_sampler(
     li = cfg.stream_rate(i)
     other = lam - li
     if s_values is None:
-        s_values = (0.0, -0.5, 0.25 * lam)
+        s_values = (0.0, -lam / 3, lam / 4)
 
     x = rng.exponential(1.0 / li, n)
     if other > 0:

@@ -291,6 +291,29 @@ class TestTimeRescaling:
         assert slow.total_peak_age == pytest.approx(base.total_peak_age * c, rel=1e-12)
 
 
+class TestPlantedErrors:
+    # age_report's dual-route check is relative, so it catches an error planted
+    # in any one metric whatever the time unit: the README split at lam = 1.5/c
+    # with each law rescaled by c
+    @pytest.mark.parametrize(
+        "metric", ["_avg_age", "_peak_age", "_mean_system_time", "_mean_interdeparture", "_second_moment_interdeparture"]
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dist=st.sampled_from([Exponential(1.0), Gamma(2.0, 0.5), Deterministic(0.5), Uniform(0.2, 1.0)]),
+        c=st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(-15, 15)),
+        error=st.sampled_from([1e-6, 0.2]),
+    )
+    def test_every_planted_error_raises(self, metric, dist, c, error):
+        cfg = SystemConfig(1.5 / c, (0.5, 0.3, 0.2), scaled(dist, c))
+        age_report(cfg)
+        correct = getattr(analytic, metric)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytic, metric, lambda *args: (1.0 + error) * correct(*args))
+            with pytest.raises(InvariantViolationError):
+                age_report(cfg)
+
+
 class TestStreamRelabelling:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(

@@ -107,6 +107,16 @@ class TestAnalyze:
         )
         assert main(["analyze", "-c", cfg]) == 2
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_total_rate_mismatch_is_relative(self, tmp_path, scale):
+        # a declared total 0.03% above the sum of the rates, in seconds and in microseconds
+        system = {
+            "total_rate": 1.5005 * scale,
+            "stream_rates": [1.0 * scale, 0.5 * scale],
+            "service": {"type": "exponential", "rate": scale},
+        }
+        assert main(["analyze", "-c", write_config(tmp_path, system=system)]) == 2
+
     def test_json_round_trip(self, tmp_path):
         out = tmp_path / "r.json"
         cfg = write_config(
@@ -334,14 +344,19 @@ class TestValidate:
         assert len(checks) >= 8
         assert all(c["passed"] for c in checks)
 
-    def test_corrupted_expectation_fails(self, tmp_path, capsys):
-        cfg = self.validate_cfg(tmp_path)
-        assert main(["validate", "-c", cfg, "--expect", "avg_age_1=99"]) == 5
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_unknown_expect_key(self, tmp_path):
-        cfg = self.validate_cfg(tmp_path)
-        assert main(["validate", "-c", cfg, "--expect", "bogus=1"]) == 2
+    def test_planted_oracle_error_fails(self, tmp_path, capsys, monkeypatch):
+        # a transfer function 1% off fails each of its 9 (i, s) checks and nothing else
+        transfer_function = cli.flowgraph.transfer_function
+        monkeypatch.setattr(cli.flowgraph, "transfer_function", lambda w, pr: 1.01 * transfer_function(w, pr))
+        report = tmp_path / "report.json"
+        cfg = write_config(tmp_path, system=REF_SYSTEM, output={"format": "json", "path": str(report)})
+        assert main(["validate", "-c", cfg]) == 5
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 9
+        assert all(line.startswith("FAIL transfer_function[") for line in failed)
+        checks = json.loads(report.read_text())["checks"]
+        assert len(checks) == 50
+        assert [c["passed"] for c in checks] == [not c["name"].startswith("transfer_function[") for c in checks]
 
     def test_positive_probe_rejected(self, tmp_path, capsys):
         cfg = self.validate_cfg(tmp_path, probes=(0.9 * 1.5,))
@@ -371,9 +386,17 @@ def test_numeric_moments_in_microseconds(tmp_path):
     system = dict(REF_SYSTEM, total_rate=1.5e-6, service={"type": "exponential", "rate": 1e-6})
     probes = {"mgf_s_values": [-2.5e-7, -5e-7, -1e-6]}
     run_cfg = load_run_config(write_config(tmp_path, system=system, probes=probes))
-    numeric = [c for c in cli._run_validation(run_cfg, None, {}) if "_numeric" in c["name"]]
+    numeric = [c for c in cli._run_validation(run_cfg, None) if "_numeric" in c["name"]]
     assert len(numeric) == 2 * 3 + 1
     assert all(c["passed"] for c in numeric), [c["name"] for c in numeric if not c["passed"]]
+
+
+def test_validate_in_microseconds(tmp_path, capsys):
+    # the README system in microseconds: the conditional-clock probes and the
+    # default MGF probes are fractions of lam, so every check passes as in seconds
+    system = dict(REF_SYSTEM, total_rate=1.5e-6, service={"type": "exponential", "rate": 1e-6})
+    assert main(["validate", "-c", write_config(tmp_path, system=system)]) == 0
+    assert "50/50 checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("shape", [1e-3, 5e-3])
