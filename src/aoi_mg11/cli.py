@@ -229,12 +229,13 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None):
     # closed-form moments vs numeric differentiation of the MGFs. The step
     # 1e-3 * min(1/E[X], lam) scales with the time unit and stays 1e-3 of
     # the way to the MGF's nearest singularity: T's MGF P(lam - s) / P(lam)
-    # is finite up to s = lam, and Y_i's pole lies beyond 1/E[Y_i] <= lam.
+    # is finite up to s = lam, and Y_i's pole lies beyond 1/E[Y_i] <= lam. A
+    # mean that underflows to 0 leaves lam alone to bound the step.
     # The one report every closed-form reference below is read from:
     report = analytic.age_report(cfg)
 
     def step(mean: float) -> float:
-        return 1e-3 * min(1.0 / mean, lam)
+        return 1e-3 * (min(1.0 / mean, lam) if mean else lam)
 
     e_t = report.streams[0].mean_system_time
     add(

@@ -38,9 +38,6 @@ class ServiceDistribution:
 
     kind: ClassVar[str]
 
-    def mean(self) -> float:
-        raise NotImplementedError
-
     def laplace(self, s: float) -> float:
         """E[e^{-sS}] in closed form; raises outside the convergence region."""
         raise NotImplementedError
@@ -66,9 +63,6 @@ class Exponential(ServiceDistribution):
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ParameterDomainError(f"Exponential rate must be > 0, got {self.rate}")
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
 
     def laplace(self, s: float) -> float:
         if s <= -self.rate:
@@ -99,18 +93,17 @@ class Gamma(ServiceDistribution):
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ParameterDomainError(f"Gamma scale must be > 0, got {self.scale}")
 
-    def mean(self) -> float:
-        return self.shape * self.scale
-
     def laplace(self, s: float) -> float:
         if s <= -1.0 / self.scale:
             raise ParameterDomainError(f"Laplace argument {s} <= -1/scale {-1.0 / self.scale}")
-        return (1.0 + s * self.scale) ** (-self.shape)
+        # log1p keeps the digits of s * scale that rounding 1 + s * scale loses;
+        # with a large shape, the power would multiply that loss by the shape
+        return math.exp(-self.shape * math.log1p(s * self.scale))
 
     def exp_weighted_mean(self, s: float) -> float:
         if s <= -1.0 / self.scale:
             raise ParameterDomainError(f"argument {s} <= -1/scale {-1.0 / self.scale}")
-        return self.shape * self.scale * (1.0 + s * self.scale) ** (-(self.shape + 1.0))
+        return self.shape * self.scale * math.exp(-(self.shape + 1.0) * math.log1p(s * self.scale))
 
     def sample(self, rng, size):
         return rng.gamma(self.shape, self.scale, size)
@@ -124,9 +117,6 @@ class Deterministic(ServiceDistribution):
     def __post_init__(self):
         if not (self.value > 0 and math.isfinite(self.value)):
             raise ParameterDomainError(f"Deterministic value must be > 0, got {self.value}")
-
-    def mean(self) -> float:
-        return self.value
 
     def laplace(self, s: float) -> float:
         return math.exp(-s * self.value)
@@ -177,9 +167,6 @@ class Uniform(ServiceDistribution):
             raise ParameterDomainError(
                 f"Uniform upper must exceed lower, got [{self.lower}, {self.upper}]"
             )
-
-    def mean(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
     def laplace(self, s: float) -> float:
         # removable singularity at s = 0: _em1_over is accurate on any scale down to x = 0

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "build_graph",
     "transfer_function",
     "solve_transfer_by_elimination",
-    "enumerate_paths",
     "path_enumeration_oracle",
 ]
 
@@ -165,24 +163,6 @@ def solve_transfer_by_elimination(g: FlowGraph) -> float:
     if abs(det) < 1e-12:
         raise SingularSystemError(f"flow-graph system is singular (det={det!r})")
     return float(np.linalg.solve(mat, rhs)[3])
-
-
-def enumerate_paths(g: FlowGraph, max_edges: int) -> Iterator[tuple[float, ...]]:
-    """Depth-first enumeration of the edge labels of every source-to-sink path
-    with <= max_edges edges whose labels are all nonzero; a zero label is no
-    edge, so the paths left out add nothing to the path sum.
-
-    Intended for small depths; the number of paths grows exponentially.
-    """
-    stack: list[tuple[int, tuple[float, ...]]] = [(Q0, ())]
-    while stack:
-        node, labels = stack.pop()
-        if len(labels) >= max_edges:
-            continue
-        if g.exit[node]:
-            yield labels + (g.exit[node],)
-        for dst in np.flatnonzero(g.mat[node]):
-            stack.append((dst, labels + (g.mat[node, dst],)))
 
 
 def path_enumeration_oracle(

@@ -9,7 +9,6 @@ the optimum is known in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,15 +119,13 @@ def priority_frontier(
     dist: ServiceDistribution,
     i: int,
     grid: tuple[float, ...],
-    residual_split: tuple[float, ...] | None = None,
 ) -> list[tuple[float, float, float]]:
     """Trade-off table (p_i, age of stream i, total age) along a p_i grid.
 
-    The residual mass 1 - p_i is split equally among the other streams unless
-    an explicit residual_split (fractions summing to 1 over the other M-1
-    streams) is given. The returned table is checked to satisfy the known
-    monotonicity facts: the tagged stream's age strictly decreases in p_i and
-    the total is minimized at p_i = 1/M.
+    The residual mass 1 - p_i is split equally among the other streams. The
+    returned table is checked to satisfy the known monotonicity facts: the
+    tagged stream's age strictly decreases in p_i and the total is minimized
+    at p_i = 1/M.
     """
     if m < 2:
         raise ParameterDomainError("priority frontier needs at least two streams")
@@ -138,15 +135,11 @@ def priority_frontier(
         raise ParameterDomainError("grid must be non-empty")
     if any(not 0.0 < g < 1.0 for g in grid):
         raise ParameterDomainError(f"grid values must lie in (0, 1), got {grid}")
-    if residual_split is None:
-        residual_split = tuple([1.0 / (m - 1)] * (m - 1))
-    if len(residual_split) != m - 1 or abs(math.fsum(residual_split) - 1.0) > 1e-12:
-        raise ParameterDomainError("residual_split must be m-1 fractions summing to 1")
 
     probs = np.empty((len(grid), m))
     g = np.array(grid, dtype=float)
     probs[:, i - 1] = g
-    probs[:, [j for j in range(m) if j != i - 1]] = np.outer(1.0 - g, residual_split)
+    probs[:, [j for j in range(m) if j != i - 1]] = (1.0 - g)[:, None] * (1.0 / (m - 1))
     columns = _checked_columns(lam, dist, probs)
     rows = list(zip(grid, columns["avg_age"][:, i - 1].tolist(), columns["total_avg_age"].tolist()))
 

@@ -40,7 +40,6 @@ __all__ = [
     "SimResult",
     "TRACE_KINDS",
     "run",
-    "empirical_mgf_probe",
     "clock_conditional_sampler",
 ]
 
@@ -92,8 +91,8 @@ class SimParams:
 class PerStreamTally:
     """Running per-stream sums for one replication, after warm-up.
 
-    ``mgf_sums`` maps each configured probe s to (sum of e^{sY}, sum of
-    e^{2sY}) over the interdeparture gaps Y.
+    ``mgf_sums`` maps each configured probe s to the sum of e^{sY} over the
+    interdeparture gaps Y.
     """
 
     stream: int
@@ -105,8 +104,7 @@ class PerStreamTally:
     y_sum: float = 0.0
     y2_sum: float = 0.0
     t_sum: float = 0.0
-    t2_sum: float = 0.0
-    mgf_sums: dict[float, tuple[float, float]] = field(default_factory=dict)
+    mgf_sums: dict[float, float] = field(default_factory=dict)
 
 
 # Trace kind codes are indices into TRACE_KINDS, which is also the order of
@@ -192,7 +190,7 @@ def _simulate_replication(
         rng_trace = [np.random.default_rng(children[2 + m + substreams[j]]) for j in range(m)]
 
     t_w = warmup_fraction * horizon
-    tallies = [PerStreamTally(j + 1, horizon - t_w, mgf_sums=dict.fromkeys(probes, (0.0, 0.0))) for j in range(m)]
+    tallies = [PerStreamTally(j + 1, horizon - t_w, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(m)]
     # each stream's last delivery (time, generation time); a virtual delivery
     # at the origin starts the age at 0, but opens no interdeparture gap
     last = [(0.0, 0.0)] * m
@@ -243,7 +241,6 @@ def _simulate_replication(
             t.age_area += float(np.sum(width * (x0 - prev_gen) + 0.5 * width * width))
             t.deliveries += len(t_d)
             t.t_sum += float(svc.sum())
-            t.t2_sum += float(np.sum(svc * svc))
 
             # Y and peaks only between consecutive real deliveries
             if k == 0 and not has_pred:
@@ -253,9 +250,8 @@ def _simulate_replication(
             t.peaks_count += len(ys)
             t.y_sum += float(ys.sum())
             t.y2_sum += float(np.sum(ys * ys))
-            for s, (total, sq) in t.mgf_sums.items():
-                e = np.exp(s * ys)
-                t.mgf_sums[s] = (total + float(e.sum()), sq + float(np.sum(e * e)))
+            for s, total in t.mgf_sums.items():
+                t.mgf_sums[s] = total + float(np.exp(s * ys).sum())
 
         if collect_trace:
             labels = np.empty(n, dtype=d_label.dtype)
@@ -305,16 +301,12 @@ def _tally_metrics(t: PerStreamTally) -> dict[str, float]:
     """One replication's estimate of each StreamStats metric, by field name."""
     return {
         "avg_age": t.age_area / t.elapsed,
-        "peak_age": t.peaks_sum / t.peaks_count if t.peaks_count else math.nan,
-        "mean_system_time": t.t_sum / t.deliveries if t.deliveries else math.nan,
-        "mean_interdeparture": t.y_sum / t.peaks_count if t.peaks_count else math.nan,
-        "second_moment_interdeparture": t.y2_sum / t.peaks_count if t.peaks_count else math.nan,
+        "peak_age": t.peaks_sum / t.peaks_count,
+        "mean_system_time": t.t_sum / t.deliveries,
+        "mean_interdeparture": t.y_sum / t.peaks_count,
+        "second_moment_interdeparture": t.y2_sum / t.peaks_count,
         "delivery_rate": t.deliveries / t.elapsed,
     }
-
-
-def _probe_mean(t: PerStreamTally, s: float) -> float:
-    return t.mgf_sums[s][0] / t.peaks_count if t.peaks_count else math.nan
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -331,8 +323,10 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
     unweighted mean across replications with the replication-level standard
     error as half-width (0 when there is a single replication). Under the
     count stop rule every replication starts from the same horizon and, if
-    short of deliveries, is rerun on a 1.6 times longer one. The event trace,
-    when requested, comes from the first replication only.
+    short of deliveries or of interdeparture gaps, is rerun on a 1.6 times
+    longer one; under the time rule a stream with no interdeparture gap after
+    warm-up raises InsufficientDataError. The event trace, when requested,
+    comes from the first replication only.
     """
     cfg = params.cfg
     reps = params.replications
@@ -361,9 +355,15 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
                 substreams,
                 collect_trace=collect_trace and r == 0,
             )
-            if params.min_deliveries_per_stream is None or all(
-                t.deliveries >= params.min_deliveries_per_stream for t in tallies
-            ):
+            if params.max_time is not None:
+                gapless = [t.stream for t in tallies if not t.peaks_count]
+                if gapless:
+                    raise InsufficientDataError(
+                        f"replication {r + 1}: stream {gapless[0]} has no interdeparture gap "
+                        f"after warm-up; raise max_time"
+                    )
+                break
+            if all(t.peaks_count and t.deliveries >= params.min_deliveries_per_stream for t in tallies):
                 break
             horizon *= 1.6
         all_tallies.append(tuple(tallies))
@@ -382,7 +382,7 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
             StreamStats(
                 stream=j + 1,
                 deliveries=sum(t.deliveries for t in per_stream),
-                mgf_probes={s: _mean_se([_probe_mean(t, s) for t in per_stream]) for s in params.mgf_probes},
+                mgf_probes={s: _mean_se([t.mgf_sums[s] / t.peaks_count for t in per_stream]) for s in params.mgf_probes},
                 **kwargs,
             )
         )
@@ -396,26 +396,6 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
     )
 
 
-def empirical_mgf_probe(tally: PerStreamTally, s: float) -> tuple[float, float]:
-    """Empirical E[e^{sY}] with standard error, from one replication's gaps.
-
-    Only s = 0 and the probes the replication was run with are available.
-    """
-    if s != 0.0 and s not in tally.mgf_sums:
-        raise ParameterDomainError(
-            f"empirical MGF probe needs s = 0 or a configured probe {sorted(tally.mgf_sums)}, got {s}"
-        )
-    n = tally.peaks_count
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 interdeparture gaps, have {n}")
-    if s == 0.0:
-        return 1.0, 0.0
-    total, sq = tally.mgf_sums[s]
-    mean = total / n
-    var = max(sq - total * mean, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
-
-
 _MAX_REJECTION_RATE = 0.9999
 
 
@@ -425,14 +405,13 @@ def clock_conditional_sampler(
     which: str,
     n: int,
     rng: np.random.Generator,
-    s_values: tuple[float, ...] | None = None,
 ) -> dict[float, tuple[float, float]]:
     """Rejection-sample one of the conditional clocks A, B, U, V, Z.
 
     Draws n independent (X, Lambda, S) triples, keeps the clock value on the
     conditioning event, and returns the empirical MGF (mean, standard error)
-    at each probe; the default probes are fractions of lam, so they scale
-    with the time unit. Aborts if fewer than 1 in 10^4 draws are accepted.
+    at the probes 0, -lam/3 and lam/4, fractions of lam that scale with the
+    time unit. Aborts if fewer than 1 in 10^4 draws are accepted.
     """
     if n < 1:
         raise ParameterDomainError(f"n must be >= 1, got {n}")
@@ -441,8 +420,6 @@ def clock_conditional_sampler(
     lam = cfg.total_rate
     li = cfg.stream_rate(i)
     other = lam - li
-    if s_values is None:
-        s_values = (0.0, -lam / 3, lam / 4)
 
     x = rng.exponential(1.0 / li, n)
     if other > 0:
@@ -469,7 +446,7 @@ def clock_conditional_sampler(
         )
 
     out = {}
-    for s in s_values:
+    for s in (0.0, -lam / 3, lam / 4):
         e = np.exp(s * kept)
         out[s] = (float(e.mean()), float(e.std(ddof=1) / math.sqrt(len(e))))
     return out

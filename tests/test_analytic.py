@@ -58,6 +58,14 @@ class TestAges:
         # to first order 1/lam + E[S]
         assert peak_age(cfg, 1) == pytest.approx(1001.0, rel=0.005)
 
+    @pytest.mark.parametrize("shape", [10.0**k for k in range(4, 17)])
+    def test_gamma_tends_to_deterministic(self, shape):
+        # Gamma(k, d/k) tends to Deterministic(d); the ages' relative gap is about 5e-3/k
+        limit = SystemConfig(1.0, (1.0,), Deterministic(0.1))
+        cfg = SystemConfig(1.0, (1.0,), Gamma(shape, 0.1 / shape))
+        for metric in (avg_age, peak_age):
+            assert metric(cfg, 1) == pytest.approx(metric(limit, 1), rel=2e-2 / shape + 1e-13)
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             avg_age(REF, 4)

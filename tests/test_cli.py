@@ -12,7 +12,6 @@ from aoi_mg11.analytic import SystemConfig
 from aoi_mg11.cli import main
 from aoi_mg11.config import load_run_config
 from aoi_mg11.distributions import Exponential
-from aoi_mg11.errors import InsufficientDataError
 
 REF_SYSTEM = {
     "total_rate": 1.5,
@@ -178,7 +177,7 @@ class TestSimulate:
     def test_trace(self, tmp_path):
         out = tmp_path / "sim.csv"
         trace = tmp_path / "trace.csv"
-        cfg = self.simulate_cfg(tmp_path, out, max_time=10.0, trace_path=trace)
+        cfg = self.simulate_cfg(tmp_path, out, max_time=200.0, trace_path=trace)
         assert main(["simulate", "-c", cfg]) == 0
         rows = read_csv(trace)
         times = [float(r["time"]) for r in rows]
@@ -197,7 +196,7 @@ class TestSimulate:
 
     def test_missing_trace_directory(self, tmp_path, capsys):
         out, trace = tmp_path / "sim.csv", tmp_path / "missing" / "trace.csv"
-        cfg = self.simulate_cfg(tmp_path, out, max_time=10.0)
+        cfg = self.simulate_cfg(tmp_path, out, max_time=200.0)
         assert main(["simulate", "-c", cfg, "--trace", str(trace)]) == 2
         err = capsys.readouterr().err
         assert f"config error: cannot write {trace}: " in err
@@ -408,13 +407,15 @@ def test_validate_gamma_of_small_shape(tmp_path, shape):
     assert main(["validate", "-c", write_config(tmp_path, system=system)]) == 0
 
 
-def test_insufficient_data_exit_code(tmp_path, monkeypatch, capsys):
-    def no_data(cfg):
-        raise InsufficientDataError("need at least 2 interdeparture gaps, have 0")
-
-    monkeypatch.setattr(cli.analytic, "age_report", no_data)
-    assert main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM)]) == 4
-    assert "data error" in capsys.readouterr().err
+def test_insufficient_data_exit_code(tmp_path, capsys):
+    # a horizon of 10 leaves stream 3 no interdeparture gap after warm-up to estimate its ages from
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, system=REF_SYSTEM, simulation={"max_time": 10, "seed": 7}, output={"path": str(out)})
+    for command, *flags in (["simulate"], ["validate"], ["sweep", "--param", "total_rate", "--grid", "1.5", "--with-sim"]):
+        assert main([command, "-c", cfg, *flags]) == 4
+        err = capsys.readouterr().err
+        assert "data error: replication 1: stream 3 has no interdeparture gap after warm-up; raise max_time" in err
+        assert not out.exists()
 
 
 def test_index_error_is_not_a_domain_error(tmp_path, monkeypatch, capsys):

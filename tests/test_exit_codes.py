@@ -1,5 +1,6 @@
-"""The exit-code contract: ``aoi analyze`` on any JSON config returns 0, 2, 3,
-4 or 5, ``aoi optimize`` on any numbers returns 0, 2 or 3, and neither raises."""
+"""The exit-code contract: ``aoi analyze`` on any JSON config and ``aoi
+validate`` on any config without a simulation section return 0, 2, 3, 4 or 5,
+``aoi optimize`` on any numbers returns 0, 2 or 3, and none of them raises."""
 
 import contextlib
 import io
@@ -77,11 +78,12 @@ SIMULATION = st.fixed_dictionaries(
         "warmup_fraction": FIELD,
     },
 )
+PROBES = st.fixed_dictionaries({}, optional={"mgf_s_values": FIELDS})
 CONFIG = st.fixed_dictionaries(
     {"system": SYSTEM},
     optional={
         "simulation": SIMULATION,
-        "probes": st.fixed_dictionaries({}, optional={"mgf_s_values": FIELDS}),
+        "probes": PROBES,
         # no string paths, so nothing is written
         "output": st.fixed_dictionaries(
             {}, optional={"format": _mostly(st.sampled_from(["csv", "json"]), WILD)}
@@ -90,15 +92,29 @@ CONFIG = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(config=CONFIG)
-def test_analyze_returns_a_documented_exit_code(config):
+# no simulation section: a random max_time can ask for an unbounded run
+VALIDATE_CONFIG = st.fixed_dictionaries({"system": SYSTEM}, optional={"probes": PROBES})
+
+
+def _exit_code(command: str, config) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(["analyze", "-c", path]) in (0, 2, 3, 4, 5)
+            return main([command, "-c", path])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=CONFIG)
+def test_analyze_returns_a_documented_exit_code(config):
+    assert _exit_code("analyze", config) in (0, 2, 3, 4, 5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=VALIDATE_CONFIG)
+def test_validate_returns_a_documented_exit_code(config):
+    assert _exit_code("validate", config) in (0, 2, 3, 4, 5)
 
 
 # any float: subnormals, 0, negatives, nan and inf included; rates below
@@ -141,3 +157,17 @@ def test_validate_reports_an_mgf_outside_the_float_range(tmp_path):
         assert main(["analyze", "-c", str(path)]) == 0
         assert main(["validate", "-c", str(path)]) == 3
     assert "domain error: clock B" in err.getvalue()
+
+
+def test_validate_with_a_mean_system_time_of_zero(tmp_path):
+    # E[T] = shape * scale underflows to 0, so validate's numeric-derivative
+    # step cannot be 1e-3 / E[T]; the clock A sampler then accepts no draws
+    service = {"type": "gamma", "shape": 0.001, "scale": 5e-324}
+    system = {"total_rate": 0.001, "stream_probs": [5.470563592114418e-14, 1.0], "service": service}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": system}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["analyze", "-c", str(path)]) == 0
+        assert main(["validate", "-c", str(path)]) == 3
+    assert "domain error: clock A: only 0 of 200000 draws accepted" in err.getvalue()

@@ -1,3 +1,5 @@
+from collections.abc import Iterator
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from aoi_mg11.flowgraph import (
     build_graph,
     clock_probs,
     edge_weights,
-    enumerate_paths,
     path_enumeration_oracle,
     solve_transfer_by_elimination,
     transfer_function,
@@ -23,6 +24,24 @@ from conftest import random_system_config
 
 REF = SystemConfig(1.5, (0.5, 0.3, 0.2), Exponential(1.0))
 UNIT = EdgeWeights(1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def enumerate_paths(g: FlowGraph, max_edges: int) -> Iterator[tuple[float, ...]]:
+    """Depth-first enumeration of the edge labels of every source-to-sink path
+    with <= max_edges edges whose labels are all nonzero; a zero label is no
+    edge, so the paths left out add nothing to the path sum.
+
+    Intended for small depths; the number of paths grows exponentially.
+    """
+    stack: list[tuple[int, tuple[float, ...]]] = [(Q0, ())]
+    while stack:
+        node, labels = stack.pop()
+        if len(labels) >= max_edges:
+            continue
+        if g.exit[node]:
+            yield labels + (g.exit[node],)
+        for dst in np.flatnonzero(g.mat[node]):
+            stack.append((dst, labels + (g.mat[node, dst],)))
 
 
 class TestClockProbs:

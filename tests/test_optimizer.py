@@ -128,15 +128,6 @@ class TestBatchedSampling:
         with pytest.raises(InvariantViolationError):
             optimal_allocation(1.2, 3, Exponential(1.0), n_random_points=20)
 
-    def test_zero_share_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            priority_frontier(1.5, 3, Exponential(1.0), 1, (0.5,), residual_split=(1.0, 0.0))
-
-    def test_nan_share_rejected(self):
-        # fsum of the residual split is NaN, which no `> tol` test catches
-        with pytest.raises(ParameterDomainError, match="every stream probability must be > 0"):
-            priority_frontier(1.5, 3, Exponential(1.0), 1, (0.5,), residual_split=(math.nan, 1.0))
-
 
 class TestPriorityFrontier:
     def test_reference_grid(self):
@@ -164,12 +155,6 @@ class TestPriorityFrontier:
         ):
             assert age_i < uniform_age
             assert tot > star
-
-    def test_explicit_residual_split(self):
-        rows = priority_frontier(
-            1.5, 3, Exponential(1.0), 1, (0.2, 0.4, 0.6), residual_split=(0.7, 0.3)
-        )
-        assert [r[0] for r in rows] == [0.2, 0.4, 0.6]
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterDomainError):

@@ -16,6 +16,7 @@ from aoi_mg11.analytic import (
     clock_mgf_B,
     interdeparture_mgf,
     mean_system_time,
+    moments_from_mgf,
     peak_age,
     system_time_mgf,
 )
@@ -28,7 +29,6 @@ from aoi_mg11.errors import (
 from aoi_mg11.simulator import (
     SimParams,
     clock_conditional_sampler,
-    empirical_mgf_probe,
     run,
 )
 
@@ -93,12 +93,12 @@ class TestSamplePathIdentities:
 
     def test_system_time_is_winning_service(self, ref_result):
         expected = mean_system_time(REF)
+        second = moments_from_mgf(lambda s: system_time_mgf(REF, s), 2)
         for r in range(ref_result.replications):
             for t in ref_result.tallies[r]:
                 n = t.deliveries
-                mean = t.t_sum / n
-                sigma = math.sqrt((t.t2_sum - t.t_sum * mean) / (n - 1) / n)
-                assert abs(mean - expected) < 3.0 * sigma + 0.005 * expected
+                sigma = math.sqrt((second - expected * expected) / n)
+                assert abs(t.t_sum / n - expected) < 3.0 * sigma + 0.005 * expected
 
 
 class TestDeterminismAndSymmetry:
@@ -224,7 +224,7 @@ class TestStopRules:
             SimParams(REF, **{"max_time": 10.0, **changes})
 
 
-SUM_FIELDS = ("elapsed", "age_area", "peaks_sum", "y_sum", "y2_sum", "t_sum", "t2_sum")
+SUM_FIELDS = ("elapsed", "age_area", "peaks_sum", "y_sum", "y2_sum", "t_sum")
 
 
 class TestChunkedReplication:
@@ -275,36 +275,16 @@ class TestChunkedReplication:
 
 
 class TestEmpiricalMgf:
-    def test_probe_at_zero(self, ref_result):
-        tally = ref_result.tallies[0][0]
-        mean, se = empirical_mgf_probe(tally, 0.0)
-        assert mean == 1.0 and se == 0.0
-
-    def test_probe_matches_closed_form(self, ref_result):
-        for s in (-0.5, -1.0):
-            expected = interdeparture_mgf(REF, 1, s)
-            tally = ref_result.tallies[0][0]
-            mean, se = empirical_mgf_probe(tally, s)
-            assert abs(mean - expected) < 4.0 * se + 1e-4
-
     def test_aggregated_probes(self, ref_result):
         for s_stats in ref_result.streams:
             for s, (mean, se) in s_stats.mgf_probes.items():
                 expected = interdeparture_mgf(REF, s_stats.stream, s)
                 assert abs(mean - expected) < 6.0 * se + 0.01 * expected
 
-    def test_positive_s_rejected(self, ref_result):
-        with pytest.raises(ParameterDomainError):
-            empirical_mgf_probe(ref_result.tallies[0][0], 0.5)
-
-    def test_unconfigured_probe_rejected(self, ref_result):
-        with pytest.raises(ParameterDomainError):
-            empirical_mgf_probe(ref_result.tallies[0][0], -0.25)
-
     def test_insufficient_data(self):
-        res = run(SimParams(REF, max_time=2.0, seed=1, mgf_probes=(-0.5,)))
-        with pytest.raises(InsufficientDataError):
-            empirical_mgf_probe(res.tallies[0][2], -0.5)
+        # a horizon of 2 leaves stream 1 no interdeparture gap to average the probe over
+        with pytest.raises(InsufficientDataError, match="replication 1: stream 1 has no interdeparture gap"):
+            run(SimParams(REF, max_time=2.0, seed=1, mgf_probes=(-0.5,)))
 
 
 class TestConditionalClocks:
@@ -327,7 +307,7 @@ class TestConditionalClocks:
             assert abs(mean - clock_mgf_B(REF, s)) < 5.0 * se + 1e-12
 
     def test_service_clock_matches_system_time(self, rng):
-        stats = clock_conditional_sampler(REF, 1, "U", self.N, rng, s_values=(-0.5, 0.25))
+        stats = clock_conditional_sampler(REF, 1, "U", self.N, rng)
         for s, (mean, se) in stats.items():
             assert abs(mean - system_time_mgf(REF, s)) < 5.0 * se + 1e-12
 
