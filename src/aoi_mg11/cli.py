@@ -8,6 +8,7 @@ failure, 5 validation check failure. Output files are written atomically
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -15,7 +16,7 @@ import operator
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,22 +79,26 @@ def _sweep_line(row) -> str:
     return _SWEEP_LINE % row if row[-1] is not None else _csv_line(row)
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks through a unique temp file in the same directory, then rename."""
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator:
+    """A text file that the with-block writes through a unique temp file in the
+    same directory, renamed to path when the block ends. If anything fails, the
+    temp file is removed, and an OSError is a ConfigError naming path."""
     directory, name = os.path.split(path)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or ".")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+            yield fh
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -104,7 +109,8 @@ def _emit_table(columns: tuple[str, ...], rows: list[tuple], out, csv_line=_csv_
     else:
         text = json.dumps({"columns": columns, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
     if out.path:
-        _atomic_write(out.path, (text,))
+        with _atomic_file(out.path) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -150,42 +156,44 @@ def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[tupl
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
     params = _simulation(run_cfg, seed_override)
     trace_path = trace_path or run_cfg.output.trace_path
-    result = simulator.run(params, collect_trace=trace_path is not None)
     columns = ("stream", "lambda_i", "p_i", *_COLUMNS_SE, "ref_avg_age", "ref_peak_age")
-    _emit_table(columns, _simulate_rows(run_cfg, result), run_cfg.output)
-    if trace_path is not None:
-        _atomic_write(trace_path, _trace_chunks(result.trace))
+    # the trace is written as it is simulated, and kept only if the command succeeds
+    with contextlib.nullcontext() if trace_path is None else _atomic_file(trace_path) as fh:
+        trace = None if fh is None else _trace_writer(fh, run_cfg.system.num_streams)
+        result = simulator.run(params, trace)
+        _emit_table(columns, _simulate_rows(run_cfg, result), run_cfg.output)
     return 0
 
 
-# Trace rows formatted per block; it bounds the text held in memory.
-_TRACE_ROWS = 1 << 14
+# Trace rows formatted at a time; it bounds the text held in memory.
+_TRACE_ROWS = 1 << 12
 
 
-def _trace_chunks(trace) -> Iterator[str]:
-    """The trace CSV, a block of rows at a time, with times in full repr.
+def _trace_writer(fh, num_streams: int) -> Callable[[], simulator.TraceSink]:
+    """simulator.run's trace factory for fh: each pass of the first replication
+    starts the file again, and its sink writes each block as CSV rows, times in
+    full repr. Formatting a float is the cost here; every generation time is an
+    arrival time, so the rows of a block share most of their times, and each
+    distinct time is formatted once."""
+    # the ",kind,stream," middle of a row, by kind * (M + 1) + stream
+    middle = [f",{name},{s}," for name in simulator.TRACE_KINDS for s in range(num_streams + 1)]
 
-    Formatting a float is the cost here. Every generation time, and the time
-    of every arrival and preemption, is an arrival time, so a block formats
-    the arrivals it refers to once, plus its delivery times.
-    """
-    yield "time,kind,stream,generation_time\n"
-    time, kind, stream, gen = trace
-    arrivals = time[kind == simulator.TRACE_KINDS.index("arrival")]
-    delivery = simulator.TRACE_KINDS.index("delivery")
-    # the ",kind,stream," middle of a row, by kind * n + stream
-    n = int(stream.max(initial=0)) + 1
-    middle = [f",{name},{s}," for name in simulator.TRACE_KINDS for s in range(n)]
-    for lo in range(0, len(time), _TRACE_ROWS):
-        t, k, s, g = (column[lo : lo + _TRACE_ROWS] for column in trace)
-        # the arrivals from the block's earliest generation time to its end
-        known = arrivals[np.searchsorted(arrivals, g.min()) : np.searchsorted(arrivals, t.max(), "right")]
-        is_delivery = k == delivery
-        text = [*map(repr, known.tolist()), *map(repr, t[is_delivery].tolist())]
-        t_at = np.where(is_delivery, len(known) + np.cumsum(is_delivery) - 1, np.searchsorted(known, t))
-        g_at = np.searchsorted(known, g)
-        mid = k.astype(np.intp) * n + s
-        yield "".join([f"{text[i]}{middle[c]}{text[j]}\n" for i, c, j in zip(t_at.tolist(), mid.tolist(), g_at.tolist())])
+    def write(block) -> None:
+        for lo in range(0, len(block[0]), _TRACE_ROWS):
+            t, k, s, g = (column[lo : lo + _TRACE_ROWS] for column in block)
+            times, at = np.unique(np.concatenate((t, g)), return_inverse=True)
+            text = list(map(repr, times.tolist()))
+            mid = k.astype(np.intp) * (num_streams + 1) + s
+            rows = zip(at[: len(t)].tolist(), mid.tolist(), at[len(t) :].tolist())
+            fh.write("".join([f"{text[i]}{middle[c]}{text[j]}\n" for i, c, j in rows]))
+
+    def start() -> simulator.TraceSink:
+        fh.seek(0)
+        fh.truncate()
+        fh.write("time,kind,stream,generation_time\n")
+        return write
+
+    return start
 
 
 def _run_validation(run_cfg: RunConfig, seed_override: int | None):
@@ -307,7 +315,8 @@ def cmd_validate(run_cfg: RunConfig, seed_override: int | None) -> int:
     n_fail = sum(1 for c in checks if not c["passed"])
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
     if run_cfg.output.path:
-        _atomic_write(run_cfg.output.path, (json.dumps({"checks": checks}, indent=2) + "\n",))
+        with _atomic_file(run_cfg.output.path) as fh:
+            fh.write(json.dumps({"checks": checks}, indent=2) + "\n")
     return EXIT_VALIDATION if n_fail else 0
 
 

@@ -16,12 +16,14 @@ are labelled, in order. A label is drawn by competing per-stream exponential
 clocks, one RNG substream per stream, so that permuting stream labels together
 with their substreams permutes the results exactly. The event trace labels the
 undelivered arrivals from M further substreams of their own, so a traced run's
-statistics equal an untraced run's.
+statistics equal an untraced run's. The trace is handed on a chunk at a time,
+so it takes no more memory than the chunk.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +110,12 @@ class PerStreamTally:
 
 
 # Trace kind codes are indices into TRACE_KINDS, which is also the order of
-# events at the same time.
+# events at the same time. A trace block is four columns sorted by time and then
+# kind: time, kind code, stream, and the generation time of the update the event
+# belongs to; the blocks, in order, are the trace.
 TRACE_KINDS = ("delivery", "arrival", "preemption")
 _DELIVERY, _ARRIVAL, _PREEMPTION = range(3)
+TraceSink = Callable[[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], None]
 
 
 @dataclass(frozen=True)
@@ -136,18 +141,12 @@ class StreamStats:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Aggregated estimates; ``horizons`` holds the horizon of each replication.
-
-    ``trace`` (first replication, when requested) is four columns sorted by
-    time and then kind: time, kind code (see TRACE_KINDS), stream, and the
-    generation time of the update the event belongs to.
-    """
+    """Aggregated estimates; ``horizons`` holds the horizon of each replication."""
 
     streams: tuple[StreamStats, ...]
     replications: int
     horizons: tuple[float, ...]
     tallies: tuple[tuple[PerStreamTally, ...], ...] = field(repr=False, default=())
-    trace: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
 
 def _labels(rngs: list[np.random.Generator], probs: tuple[float, ...], n: int) -> np.ndarray:
@@ -176,8 +175,8 @@ def _simulate_replication(
     warmup_fraction: float,
     probes: tuple[float, ...],
     substreams: tuple[int, ...],
-    collect_trace: bool = False,
-) -> tuple[list[PerStreamTally], tuple[np.ndarray, ...] | None]:
+    sink: TraceSink | None = None,
+) -> list[PerStreamTally]:
     m = cfg.num_streams
     lam = cfg.total_rate
     # the trace's substreams are spawned on every pass, so that a count-rule
@@ -186,7 +185,7 @@ def _simulate_replication(
     rng_arrivals = np.random.default_rng(children[0])
     rng_service = np.random.default_rng(children[1])
     rng_select = [np.random.default_rng(children[2 + substreams[j]]) for j in range(m)]
-    if collect_trace:
+    if sink is not None:
         rng_trace = [np.random.default_rng(children[2 + m + substreams[j]]) for j in range(m)]
 
     t_w = warmup_fraction * horizon
@@ -195,7 +194,8 @@ def _simulate_replication(
     # at the origin starts the age at 0, but opens no interdeparture gap
     last = [(0.0, 0.0)] * m
     delivered_before = [False] * m
-    trace_parts = ([], [], [], [])  # per column, one array per chunk
+    # the trace rows held back from the last chunk, to open the next one's block
+    held = (np.empty(0), np.empty(0, np.int8), np.empty(0, np.min_scalar_type(m)), np.empty(0))
 
     # Each chunk simulates the arrivals before its last one, which is carried
     # into the next chunk as the look-ahead that decides the final delivery.
@@ -253,22 +253,28 @@ def _simulate_replication(
             for s, total in t.mgf_sums.items():
                 t.mgf_sums[s] = total + float(np.exp(s * ys).sum())
 
-        if collect_trace:
+        if sink is not None:
             labels = np.empty(n, dtype=d_label.dtype)
             labels[idx] = d_label
             labels[~delivered] = _labels(rng_trace, cfg.stream_probs, n - len(idx))
+            labels += 1  # the trace counts streams from 1
             pre = np.flatnonzero(~beats_next & (nxt <= horizon))
             kinds = np.array((_ARRIVAL, _DELIVERY, _PREEMPTION), dtype=np.int8)
-            for part, column in zip(
-                trace_parts,
-                (
-                    np.concatenate((arr, done[idx], nxt[pre])),
-                    np.repeat(kinds, (n, len(idx), len(pre))),
-                    np.concatenate((labels, d_label, labels[pre])) + 1,
-                    np.concatenate((arr, arr[idx], arr[pre])),
-                ),
-            ):
-                part.append(column)
+            block = [
+                np.concatenate((held[0], arr, done[idx], nxt[pre])),
+                np.concatenate((held[1], np.repeat(kinds, (n, len(idx), len(pre))))),
+                np.concatenate((held[2], labels, labels[idx], labels[pre])),
+                np.concatenate((held[3], arr, arr[idx], arr[pre])),
+            ]
+            order = np.lexsort((block[1], block[0]))
+            for c in range(4):  # a column at a time, so that one at most is held twice
+                block[c] = block[c][order]
+            # No later event comes before the carried arrival, so the block is final
+            # up to its time; the rows from there on (a preemption by that arrival
+            # sorts after it) open the next block, copied so as not to pin this one.
+            cut = len(order) if final else int(np.searchsorted(block[0], carry))
+            held = tuple(column[cut:].copy() for column in block)
+            sink(tuple(column[:cut] for column in block))
         if final:
             break
 
@@ -277,19 +283,7 @@ def _simulate_replication(
         tail_w = horizon - tail0
         if tail_w > 0:
             t.age_area += tail_w * (tail0 - last_gen) + 0.5 * tail_w * tail_w
-
-    trace = None
-    if collect_trace:
-        # one column at a time, so that at most one column is held twice
-        columns = []
-        for part in trace_parts:
-            columns.append(np.concatenate(part))
-            part.clear()
-        order = np.lexsort((columns[1], columns[0]))
-        for c in range(4):
-            columns[c] = columns[c][order]
-        trace = tuple(columns)
-    return tallies, trace
+    return tallies
 
 
 def _horizon_for_count(cfg: SystemConfig, n_deliveries: int, warmup_fraction: float) -> float:
@@ -316,7 +310,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(vals.mean()), se
 
 
-def run(params: SimParams, collect_trace: bool = False) -> SimResult:
+def run(params: SimParams, trace: Callable[[], TraceSink] | None = None) -> SimResult:
     """Run all replications and aggregate per-stream estimates.
 
     Replications use independently spawned RNG substreams; estimates are the
@@ -325,8 +319,9 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
     count stop rule every replication starts from the same horizon and, if
     short of deliveries or of interdeparture gaps, is rerun on a 1.6 times
     longer one; under the time rule a stream with no interdeparture gap after
-    warm-up raises InsufficientDataError. The event trace, when requested,
-    comes from the first replication only.
+    warm-up raises InsufficientDataError. The event trace of the first
+    replication goes to the sink that ``trace()`` returns, a block per chunk;
+    ``trace`` is called once per pass, so a count-rule rerun starts it again.
     """
     cfg = params.cfg
     reps = params.replications
@@ -341,19 +336,18 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
 
     all_tallies: list[tuple[PerStreamTally, ...]] = []
     horizons: list[float] = []
-    trace = None
     for r in range(reps):
         seed_seq = rep_seeds[r]
         horizon = start
         while True:
-            tallies, tr = _simulate_replication(
+            tallies = _simulate_replication(
                 cfg,
                 horizon,
                 seed_seq,
                 params.warmup_fraction,
                 params.mgf_probes,
                 substreams,
-                collect_trace=collect_trace and r == 0,
+                trace() if trace is not None and r == 0 else None,
             )
             if params.max_time is not None:
                 gapless = [t.stream for t in tallies if not t.peaks_count]
@@ -368,8 +362,6 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
             horizon *= 1.6
         all_tallies.append(tuple(tallies))
         horizons.append(horizon)
-        if r == 0:
-            trace = tr
 
     streams = []
     for j in range(cfg.num_streams):
@@ -392,7 +384,6 @@ def run(params: SimParams, collect_trace: bool = False) -> SimResult:
         replications=reps,
         horizons=tuple(horizons),
         tallies=tuple(all_tallies),
-        trace=trace,
     )
 
 

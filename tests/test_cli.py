@@ -1,8 +1,11 @@
+import errno
+import io
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from aoi_mg11.analytic import SystemConfig
 from aoi_mg11.cli import main
 from aoi_mg11.config import load_run_config
 from aoi_mg11.distributions import Exponential
+from aoi_mg11.errors import ConfigError
 
 REF_SYSTEM = {
     "total_rate": 1.5,
@@ -185,14 +189,23 @@ class TestSimulate:
         assert {r["kind"] for r in rows} <= {"arrival", "delivery", "preemption"}
 
     def test_trace_rows_in_full_repr(self, monkeypatch):
-        # the block writer shares reprs between columns and blocks; every row
-        # must read as if each value were printed on its own
+        # the block writer shares reprs between the columns of a block; every
+        # row must read as if each value were printed on its own
         cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), Exponential(1.0))
-        trace = simulator.run(simulator.SimParams(cfg, max_time=2e3, seed=42), collect_trace=True).trace
-        rows = zip(*(c.tolist() for c in trace))
-        expected = "".join(f"{t!r},{simulator.TRACE_KINDS[k]},{s},{g!r}\n" for t, k, s, g in rows)
+        out, blocks = io.StringIO(), []
+        start = cli._trace_writer(out, cfg.num_streams)
+
+        def trace():
+            write = start()
+            return lambda block: (blocks.append(block), write(block))
+
+        monkeypatch.setattr(simulator, "_CHUNK", 500)
         monkeypatch.setattr(cli, "_TRACE_ROWS", 3)
-        assert "".join(cli._trace_chunks(trace)) == "time,kind,stream,generation_time\n" + expected
+        simulator.run(simulator.SimParams(cfg, max_time=2e3, seed=42), trace)
+        assert len(blocks) > 1
+        rows = zip(*(np.concatenate(column).tolist() for column in zip(*blocks)))
+        expected = "".join(f"{t!r},{simulator.TRACE_KINDS[k]},{s},{g!r}\n" for t, k, s, g in rows)
+        assert out.getvalue() == "time,kind,stream,generation_time\n" + expected
 
     def test_missing_trace_directory(self, tmp_path, capsys):
         out, trace = tmp_path / "sim.csv", tmp_path / "missing" / "trace.csv"
@@ -201,7 +214,8 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"config error: cannot write {trace}: " in err
         assert "Traceback" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sim.csv"]
+        # the trace file is opened before the simulation starts
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out = tmp_path / "sim.csv"
@@ -694,6 +708,36 @@ class TestAtomicWrites:
             raise OSError("rename failed")
 
         monkeypatch.setattr(cli.os, "replace", fail)
-        with pytest.raises(OSError, match="rename failed"):
-            cli._atomic_write(str(tmp_path / "report.csv"), "a,b\n")
+        with pytest.raises(ConfigError, match="cannot write .*report.csv: rename failed"):
+            with cli._atomic_file(str(tmp_path / "report.csv")) as fh:
+                fh.write("a,b\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["validate"], ["simulate"], ["simulate", "--trace", "trace.csv"]],
+        ids=["analyze", "validate", "simulate", "simulate-trace"],
+    )
+    def test_failing_write_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # a disk with room for 64 bytes: the trace's header fits, its first block does not
+        class FullDisk(io.TextIOWrapper):
+            room = 64
+
+            def write(self, text):
+                self.room -= len(text)
+                if self.room < 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+        monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode, **kw: FullDisk(io.FileIO(fd, mode), **kw))
+        monkeypatch.chdir(tmp_path)
+        out = "out.json" if command[0] == "validate" else "out.csv"
+        # validate reaches its write without a simulation
+        simulation = {} if command[0] == "validate" else {"simulation": {"max_time": 2e4, "seed": 1}}
+        cfg = write_config(tmp_path, system=REF_SYSTEM, output={"path": out}, **simulation)
+        assert main([command[0], "-c", cfg, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        failed = command[-1] if "--trace" in command else out
+        assert f"config error: cannot write {failed}: No space left on device" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

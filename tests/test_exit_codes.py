@@ -1,6 +1,8 @@
 """The exit-code contract: ``aoi analyze`` on any JSON config and ``aoi
 validate`` on any config without a simulation section return 0, 2, 3, 4 or 5,
-``aoi optimize`` on any numbers returns 0, 2 or 3, and none of them raises."""
+``aoi simulate`` on any small system returns 0, 2, 3 or 4 and writes nothing
+when it fails, ``aoi optimize`` on any numbers returns 0, 2 or 3, and none of
+them raises."""
 
 import contextlib
 import io
@@ -47,19 +49,17 @@ PROBS = st.one_of(
 )
 
 
-def _service(kind, *fields):
-    return st.fixed_dictionaries({"type": st.just(kind), **{f: FIELD for f in fields}})
+def _services(field):
+    """Every service law, each of its fields drawn from ``field``."""
+    return st.one_of(
+        *(
+            st.fixed_dictionaries({"type": st.just(kind), **dict.fromkeys(fields, field)})
+            for kind, fields in CONFIG_FIELDS.items()
+        )
+    )
 
 
-SERVICE = _mostly(
-    st.one_of(
-        _service("exponential", "rate"),
-        _service("gamma", "shape", "scale"),
-        _service("deterministic", "value"),
-        _service("uniform", "lower", "upper"),
-    ),
-    WILD,
-)
+SERVICE = _mostly(_services(FIELD), WILD)
 SYSTEM = st.one_of(
     st.fixed_dictionaries({"total_rate": FIELD, "stream_probs": PROBS, "service": SERVICE}),
     st.fixed_dictionaries(
@@ -115,6 +115,63 @@ def test_analyze_returns_a_documented_exit_code(config):
 @given(config=VALIDATE_CONFIG)
 def test_validate_returns_a_documented_exit_code(config):
     assert _exit_code("validate", config) in (0, 2, 3, 4, 5)
+
+
+def _small(lo, hi, *rare):
+    """Floats in [lo, hi], or now and then a value from ``rare``."""
+    return _mostly(st.floats(lo, hi), st.sampled_from(rare))
+
+
+# Small systems over a horizon of at most 50, so that a run simulates a few
+# thousand arrivals at most
+SIMULATE_CONFIG = st.fixed_dictionaries(
+    {
+        "system": st.fixed_dictionaries(
+            {
+                "total_rate": _small(0.5, 20.0, 0.0, -1.0, math.inf, "1"),
+                "stream_probs": st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4).map(
+                    lambda w: [x / math.fsum(w) for x in w]
+                ),
+                "service": _services(_small(0.1, 2.0, 0.0, math.nan, None)),
+            }
+        ),
+        "simulation": st.fixed_dictionaries(
+            {"max_time": _small(10.0, 50.0, 0.0, -5.0, math.nan, "10")},
+            optional={
+                "seed": _mostly(st.integers(0, 2**32), st.sampled_from([-1, 0.5, "7"])),
+                "replications": _mostly(st.integers(1, 3), st.sampled_from([0, 1.5, None])),
+                "warmup_fraction": _small(0.0, 0.9, 1.0, -0.1, math.nan),
+            },
+        ),
+        "output": st.fixed_dictionaries({"format": st.sampled_from(["csv", "json"])}),
+    }
+)
+
+
+def _simulate(config, traced: bool) -> tuple[int, str | None]:
+    """The exit code of ``aoi simulate`` and its output; a failed run must
+    leave no output, no trace and no temp file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, trace, path = (os.path.join(tmp, name) for name in ("out", "trace.csv", "cfg.json"))
+        with open(path, "w") as fh:
+            json.dump({**config, "output": {**config["output"], "path": out}}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["simulate", "-c", path, *(["--trace", trace] if traced else [])])
+        written = ["out", "trace.csv"] if traced else ["out"]
+        assert sorted(os.listdir(tmp)) == ["cfg.json", *(written if code == 0 else [])]
+        if code:
+            return code, None
+        with open(out) as fh:
+            return code, fh.read()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config=SIMULATE_CONFIG)
+def test_simulate_returns_a_documented_exit_code(config):
+    # with and without --trace: the same exit code and the same table
+    code, table = _simulate(config, traced=False)
+    assert code in (0, 2, 3, 4)
+    assert _simulate(config, traced=True) == (code, table)
 
 
 # any float: subnormals, 0, negatives, nan and inf included; rates below

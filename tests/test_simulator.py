@@ -129,6 +129,61 @@ class TestDeterminismAndSymmetry:
             assert sb.delivery_rate == sa.delivery_rate
 
 
+def traced_run(params: SimParams):
+    """run with the trace of its first replication collected through the sink:
+    the result, and the last pass's blocks joined into four columns."""
+    passes = []
+
+    def trace():
+        passes.append([])
+        return passes[-1].append
+
+    result = run(params, trace)
+    return result, tuple(np.concatenate(column) for column in zip(*passes[-1]))
+
+
+def reference_trace(params: SimParams):
+    """The first replication's event trace (time rule), simulated in one piece
+    and sorted by one lexsort: the brute-force reference for the streamed
+    blocks. The draws come in the same order whatever the chunk size, so the
+    sample path is the chunked one."""
+    cfg, m, horizon = params.cfg, params.cfg.num_streams, params.max_time
+    substreams = params.stream_substreams or tuple(range(m))
+    children = np.random.SeedSequence(params.seed).spawn(params.replications)[0].spawn(2 + 2 * m)
+    gaps = np.random.default_rng(children[0]).exponential(1.0 / cfg.total_rate, int(2 * cfg.total_rate * horizon) + 100)
+    times = np.cumsum(gaps)
+    n = int(np.searchsorted(times, horizon, side="right"))
+    assert n < len(times)
+    arr, nxt = times[:n], times[1 : n + 1]
+    services = cfg.service.sample(np.random.default_rng(children[1]), n)
+    done = arr + services
+    beats_next = services <= nxt - arr
+    delivered = beats_next & (done <= horizon)
+    idx = np.flatnonzero(delivered)
+    rngs = [[np.random.default_rng(children[2 + k * m + substreams[j]]) for j in range(m)] for k in (0, 1)]
+    labels = np.empty(n, dtype=int)
+    labels[idx] = simulator._labels(rngs[0], cfg.stream_probs, len(idx))
+    labels[~delivered] = simulator._labels(rngs[1], cfg.stream_probs, n - len(idx))
+    pre = np.flatnonzero(~beats_next & (nxt <= horizon))
+    kind = {name: code for code, name in enumerate(simulator.TRACE_KINDS)}
+    columns = (
+        np.concatenate((arr, done[idx], nxt[pre])),
+        np.repeat([kind["arrival"], kind["delivery"], kind["preemption"]], (n, len(idx), len(pre))),
+        np.concatenate((labels, labels[idx], labels[pre])) + 1,
+        np.concatenate((arr, arr[idx], arr[pre])),
+    )
+    order = np.lexsort((columns[1], columns[0]))
+    return tuple(column[order] for column in columns)
+
+
+def trace_csv(columns) -> str:
+    """The trace CSV of four columns, a value at a time."""
+    rows = zip(*(column.tolist() for column in columns))
+    return "time,kind,stream,generation_time\n" + "".join(
+        f"{t!r},{simulator.TRACE_KINDS[k]},{s},{g!r}\n" for t, k, s, g in rows
+    )
+
+
 def _stats_without_label(stats: simulator.StreamStats) -> dict:
     return {k: v for k, v in dataclasses.asdict(stats).items() if k != "stream"}
 
@@ -146,15 +201,14 @@ class TestDeliveredOnlyLabels:
         # the time rule spans three chunks, so a later chunk's labels would show
         # any draw the trace took from the statistics' substreams
         params = SimParams(REF, seed=2, mgf_probes=(-0.5, -1.0), **rule)
-        plain, traced = run(params), run(params, collect_trace=True)
-        assert traced.trace is not None and plain.trace is None
+        plain, (traced, trace) = run(params), traced_run(params)
+        assert len(trace[0]) > 0
         assert traced.horizons == plain.horizons
         assert traced.streams == plain.streams
         assert traced.tallies == plain.tallies
 
     def test_trace_delivery_rows_match_the_tallies(self):
-        res = run(SimParams(REF, max_time=2e4, seed=3, warmup_fraction=0.0), collect_trace=True)
-        _, kind, stream, _ = res.trace
+        res, (_, kind, stream, _) = traced_run(SimParams(REF, max_time=2e4, seed=3, warmup_fraction=0.0))
         delivered = stream[kind == simulator.TRACE_KINDS.index("delivery")]
         for t in res.tallies[0]:
             assert t.deliveries > 0
@@ -172,16 +226,16 @@ class TestDeliveredOnlyLabels:
         base_cfg = SystemConfig(1.5, probs, Exponential(1.0))
         perm_cfg = SystemConfig(1.5, tuple(probs[perm[j]] for j in range(m)), Exponential(1.0))
         common = {"max_time": 2e3, "seed": 13, "replications": 2, "mgf_probes": (-0.5,)}
-        base = run(SimParams(base_cfg, **common), collect_trace=True)
-        relabelled = run(SimParams(perm_cfg, stream_substreams=perm, **common), collect_trace=True)
+        base, base_trace = traced_run(SimParams(base_cfg, **common))
+        relabelled, relabelled_trace = traced_run(SimParams(perm_cfg, stream_substreams=perm, **common))
 
         for j in range(m):
             np.testing.assert_equal(
                 _stats_without_label(relabelled.streams[j]), _stats_without_label(base.streams[perm[j]])
             )
         for column in (0, 1, 3):
-            np.testing.assert_array_equal(relabelled.trace[column], base.trace[column])
-        np.testing.assert_array_equal(np.array(perm)[relabelled.trace[2] - 1], base.trace[2] - 1)
+            np.testing.assert_array_equal(relabelled_trace[column], base_trace[column])
+        np.testing.assert_array_equal(np.array(perm)[relabelled_trace[2] - 1], base_trace[2] - 1)
 
 
 class TestStopRules:
@@ -201,6 +255,31 @@ class TestStopRules:
         assert res.horizons == (104.0, 65.0, 104.0, 65.0)
         for tallies in res.tallies:
             assert all(t.deliveries >= 3 for t in tallies)
+
+    @pytest.mark.parametrize("seed, warmup_fraction", [(2, 0.5), (3, 0.0)])
+    def test_traced_rerun_writes_the_final_pass_only(self, tmp_path, capsys, seed, warmup_fraction):
+        # replication 0 runs on the starting horizon, then again on a 1.6 times
+        # longer one: its trace must hold the second pass alone
+        simulation = {"min_deliveries_per_stream": 3, "seed": seed, "replications": 4}
+        simulation["warmup_fraction"] = warmup_fraction
+        system = {"total_rate": 1.5, "stream_probs": [0.5, 0.3, 0.2], "service": REF.service.to_config()}
+        config, trace = tmp_path / "rerun.json", tmp_path / "trace.csv"
+        config.write_text(json.dumps({"system": system, "simulation": simulation}))
+        assert cli.main(["simulate", "-c", str(config)]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["simulate", "-c", str(config), "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == plain
+
+        res = run(SimParams(REF, **simulation))
+        assert res.horizons[0] == 1.6 * res.horizons[1]
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        times = [float(r[0]) for r in rows]
+        assert times == sorted(times) and times[-1] <= res.horizons[0]
+        # the tallies count the deliveries from the end of the warm-up on
+        t_w = warmup_fraction * res.horizons[0]
+        delivered = [r[2] for r in rows if r[1] == "delivery" and float(r[0]) >= t_w]
+        for t in res.tallies[0]:
+            assert delivered.count(str(t.stream)) == t.deliveries
 
     def test_param_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -262,16 +341,44 @@ class TestChunkedReplication:
                 for s in params.mgf_probes:
                     assert b.mgf_sums[s] == pytest.approx(a.mgf_sums[s], rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "chunk, max_time, service",
+        [(3, 2e3, Exponential(1.0)), (777, 3e4, Gamma(2.0, 0.5)), (None, 1e5, Exponential(1.0))],
+        ids=["3", "777", "default"],
+    )
+    def test_streamed_trace_matches_the_sorted_reference(self, tmp_path, monkeypatch, chunk, max_time, service):
+        # small chunks put many held-back preemptions at chunk edges
+        if chunk is not None:
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        system = {"total_rate": 1.5, "stream_probs": [0.5, 0.3, 0.2], "service": service.to_config()}
+        config, trace = tmp_path / "sim.json", tmp_path / "trace.csv"
+        config.write_text(
+            json.dumps(
+                {
+                    "system": system,
+                    "simulation": {"max_time": max_time, "seed": 6, "replications": 2},
+                    "output": {"path": str(tmp_path / "sim.csv")},
+                }
+            )
+        )
+        assert cli.main(["simulate", "-c", str(config), "--trace", str(trace)]) == 0
+        cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), service)
+        expected = trace_csv(reference_trace(SimParams(cfg, max_time=max_time, seed=6, replications=2)))
+        assert trace.read_text() == expected
+
     def test_memory_does_not_grow_with_horizon(self):
-        def peak(max_time):
+        def peak(max_time, trace=None):
             tracemalloc.start()
             try:
-                run(SimParams(REF, max_time=max_time, seed=8, mgf_probes=(-0.5,)))
+                run(SimParams(REF, max_time=max_time, seed=8, mgf_probes=(-0.5,)), trace)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(2e6) <= 2.0 * peak(2e5)
+        # the trace is handed to its sink a chunk at a time, and not kept
+        drop = lambda: lambda block: None  # noqa: E731
+        assert peak(2e6, drop) <= 2.0 * peak(2e5, drop)
 
 
 class TestEmpiricalMgf:
