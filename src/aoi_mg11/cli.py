@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
-from collections.abc import Callable, Iterator
-from types import SimpleNamespace
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -55,28 +54,9 @@ _METRICS = (
 )
 _COLUMNS = tuple(column for _, column in _METRICS)
 _COLUMNS_SE = tuple(name for column in _COLUMNS for name in (column, column + "_se"))
-_metric_values = operator.attrgetter(*(field for field, _ in _METRICS))
-_metric_values_se = operator.attrgetter(*(name for field, _ in _METRICS for name in (field, field + "_se")))
+_FIELDS = tuple(field for field, _ in _METRICS)
+_FIELDS_SE = tuple(name for field in _FIELDS for name in (field, field + "_se"))
 _SWEEP_COLUMNS = ("param", "value", "stream", "source", *_COLUMNS, "delta_tot", "delta_peak_tot")
-# An analytic sweep row, every column of a known type; "%.6g" writes the bytes _fmt does.
-_SWEEP_LINE = "%s,%.6g,%d,%s" + ",%.6g" * (len(_COLUMNS) + 2)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def _csv_line(row) -> str:
-    return ",".join(map(_fmt, row))
-
-
-def _sweep_line(row) -> str:
-    # an analytic row by _SWEEP_LINE; a simulated one, with empty totals, as _fmt writes it
-    return _SWEEP_LINE % row if row[-1] is not None else _csv_line(row)
 
 
 @contextlib.contextmanager
@@ -102,37 +82,178 @@ def _atomic_file(path: str) -> Iterator:
         raise
 
 
-def _emit_table(columns: tuple[str, ...], rows: list[tuple], out, csv_line=_csv_line) -> None:
-    """Write rows, tuples in column order, as CSV (6 significant digits) or JSON (full precision)."""
-    if out.format == "csv":
-        text = "\n".join([",".join(columns), *map(csv_line, rows)]) + "\n"
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator:
+    """The command's output: path written atomically, or else stdout, written
+    when the with-block ends, so that a failed command writes nothing."""
+    if path:
+        with _atomic_file(path) as fh:
+            yield fh
     else:
-        text = json.dumps({"columns": columns, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
-    if out.path:
-        with _atomic_file(out.path) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        buffer = io.StringIO()
+        yield buffer
+        sys.stdout.write(buffer.getvalue())
 
 
-def _analyze_rows(cfg: SystemConfig) -> list[tuple]:
+# 10**k for k in [-22, 22]: exact for k >= 0, correctly rounded for k < 0.
+_POW10 = np.array([10.0**k if k >= 0 else 1.0 / 10.0**-k for k in range(-22, 23)])
+# The decimal exponents that _g6 writes itself: |v| is scaled by 10**(5 - e) from the table.
+_E_MIN, _E_MAX = -17, 27
+
+
+def _g6(x: np.ndarray) -> np.ndarray:
+    """The bytes of '%.6g' % v for each float v in x, as a uint8 matrix of
+    (character position, value) in which NULs pad each value's column.
+
+    |v| = s * 10**(e - 5) with s in [1e5, 1e6) is rounded to the six digits
+    rint(s), laid out in 21 slots: the sign; the "0." and up to three zeros of
+    a fixed-point number below 1; the six digits, with a slot for the point
+    after each of the first five; and the exponent of the scientific form. A
+    slot that the value does not use is NUL: the trailing zeros, a point they
+    leave last, and every slot of the other layout.
+
+    s is one multiply from |v|, off the exact product by at most 2.3e-10 (two
+    roundings of 2**-53 relative), so rint(s) rounds as '%' does unless s lies
+    that close to a tie. A cell that cannot be certified so (zero, inf, nan,
+    an exponent outside [_E_MIN, _E_MAX], or |frac(s) - 0.5| <= 1e-9) is
+    written by '%' instead.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))  # -inf at 0, nan at nan, inf at inf
+    ok = (_E_MIN <= e) & (e <= _E_MAX)
+    e = np.where(ok, e, 0.0).astype(np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):  # at cells that '%' writes
+        s = a * _POW10[22 + 5 - e]
+        off = (s >= 1e6).astype(np.intp) - (s < 1e5)  # log10 misses by one next to a power of ten
+        if off.any():
+            e += off
+            ok &= (_E_MIN <= e) & (e <= _E_MAX)
+            e[~ok] = 0
+            s = a * _POW10[22 + 5 - e]
+        ok &= (1e5 <= s) & (s < 1e6) & (np.abs(s - np.floor(s) - 0.5) > 1e-9)
+    f = np.rint(np.where(ok, s, 1e5))
+    carry = f == 1e6
+    f[carry] = 1e5
+    e += carry
+
+    digits = np.empty((6, len(x)), np.uint8)
+    n = f.astype(np.uint32)
+    for i in range(5, 0, -1):
+        q = n // 10
+        digits[i] = n - 10 * q
+        n = q
+    digits[0] = n
+    # more[i]: a nonzero digit at index i or beyond, so digit i is no trailing zero
+    more = [None] * 6
+    more[5] = digits[5] != 0
+    for i in range(4, 0, -1):
+        more[i] = more[i + 1] | (digits[i] != 0)
+    digits += ord("0")
+    fixed = (-4 <= e) & (e < 6)
+    lead = fixed & (e < 0)
+    point = np.where(fixed, e, 0)  # the point follows digit `point`, or "0." when below 0
+    sci = ~fixed
+    chars = np.zeros((21, len(x)), np.uint8)
+    chars[0] = np.where(x < 0, ord("-"), 0)
+    chars[1] = lead * np.uint8(ord("0"))
+    chars[2] = lead * np.uint8(ord("."))
+    for k in range(3):
+        chars[3 + k] = (e <= -2 - k) * lead * np.uint8(ord("0"))
+    chars[6] = digits[0]
+    for i in range(1, 6):
+        chars[5 + 2 * i] = ((point == i - 1) & more[i]) * np.uint8(ord("."))
+        chars[6 + 2 * i] = digits[i] * (more[i] | (point >= i))
+    chars[17] = sci * np.uint8(ord("e"))
+    chars[18] = np.where(e < 0, ord("-"), ord("+")) * sci
+    chars[19] = (abs(e) // 10 + ord("0")) * sci
+    chars[20] = (abs(e) % 10 + ord("0")) * sci
+    for i in np.flatnonzero(~ok).tolist():
+        text = ("%.6g" % x[i]).encode()
+        chars[:, i] = 0
+        chars[: len(text), i] = np.frombuffer(text, np.uint8)
+    return chars
+
+
+def _text_cells(a: np.ndarray) -> np.ndarray:
+    """str(v) of each value in a, as a NUL-padded uint8 matrix of (character
+    position, value); each distinct value is formatted once."""
+    distinct, inverse = np.unique(a, return_inverse=True)
+    text = np.array([str(v).encode() for v in distinct.tolist()])  # NUL-padded
+    return text.view(np.uint8).reshape(len(text), -1).T[:, inverse.ravel()]
+
+
+def _csv_rows(values: list, shape: tuple[int, ...]) -> str:
+    """The CSV lines of a block of rows: the cells of an array of this shape, in
+    C order, with a column per value, each value broadcast to the shape.
+    Floats are written as '%.6g' % v, None as an empty cell and any other value
+    as str(v); each cell of a value is formatted once, before it is broadcast."""
+    arrays = [np.asarray("" if v is None else v) for v in values]
+    arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
+    # the floats of every column in one pass of the kernel, split by column below
+    floats = [a.ravel() for a in arrays if a.dtype.kind == "f"]
+    g6, at = _g6(np.concatenate(floats)) if floats else None, 0
+    cells = []
+    for a in arrays:
+        if a.dtype.kind == "f":
+            c, at = g6[:, at : at + a.size], at + a.size
+            c = c[c.any(axis=1)]  # the character positions this column uses
+        else:
+            c = _text_cells(a)
+        cells.append(c.reshape(len(c), *a.shape))
+    chars = np.empty((sum(len(c) + 1 for c in cells), *shape), np.uint8)
+    at = 0
+    for c in cells:
+        chars[at : at + len(c)] = c
+        chars[at + len(c)] = ord(",")
+        at += len(c) + 1
+    chars[-1] = ord("\n")
+    rows = np.ascontiguousarray(chars.reshape(len(chars), -1).T)
+    return rows[rows != 0].tobytes().decode()
+
+
+Block = tuple[tuple[int, ...], list]
+
+
+def _emit_table(columns: tuple[str, ...], blocks: Iterable[Block], out) -> None:
+    """Write a table as CSV (6 significant digits) or JSON (full precision). The
+    rows come in blocks, a (shape, values) pair as _csv_rows takes; a CSV table
+    is written a block at a time."""
+    with _output(out.path) as fh:
+        if out.format == "csv":
+            fh.write(",".join(columns) + "\n")
+            for shape, values in blocks:
+                fh.write(_csv_rows(values, shape))
+        else:
+            rows = []
+            for shape, values in blocks:
+                n = math.prod(shape)
+                cells = ([v] * n if v is None else np.broadcast_to(v, shape).ravel().tolist() for v in values)
+                rows += [dict(zip(columns, row)) for row in zip(*cells)]
+            fh.write(json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n")
+
+
+def _fields(objects, names: tuple[str, ...]) -> list[np.ndarray]:
+    """A column per attribute name, of the objects in order."""
+    return [np.array([getattr(o, name) for o in objects]) for name in names]
+
+
+def _analyze_blocks(cfg: SystemConfig) -> list[Block]:
     report = analytic.age_report(cfg)
-    total = SimpleNamespace(
-        stream="total",
-        rate=cfg.total_rate,
-        prob=1.0,
-        avg_age=report.total_avg_age,
-        peak_age=report.total_peak_age,
-        mean_system_time=report.streams[0].mean_system_time,
-        mean_interdeparture=None,
-        second_moment_interdeparture=None,
-        delivery_rate=math.fsum(s.delivery_rate for s in report.streams),
-    )
-    return [(s.stream, s.rate, s.prob, *_metric_values(s)) for s in (*report.streams, total)]
+    total = {
+        "avg_age": report.total_avg_age,
+        "peak_age": report.total_peak_age,
+        "mean_system_time": report.streams[0].mean_system_time,
+        "delivery_rate": math.fsum(s.delivery_rate for s in report.streams),
+    }
+    return [
+        ((cfg.num_streams,), _fields(report.streams, ("stream", "rate", "prob", *_FIELDS))),
+        ((1,), ["total", cfg.total_rate, 1.0, *(total.get(field) for field in _FIELDS)]),
+    ]
 
 
 def cmd_analyze(run_cfg: RunConfig) -> int:
-    _emit_table(("stream", "lambda_i", "p_i", *_COLUMNS), _analyze_rows(run_cfg.system), run_cfg.output)
+    _emit_table(("stream", "lambda_i", "p_i", *_COLUMNS), _analyze_blocks(run_cfg.system), run_cfg.output)
     return 0
 
 
@@ -145,12 +266,10 @@ def _simulation(run_cfg: RunConfig, seed_override: int | None, **changes) -> sim
     return dataclasses.replace(run_cfg.simulation, **changes)
 
 
-def _simulate_rows(run_cfg: RunConfig, result: simulator.SimResult) -> list[tuple]:
-    report = analytic.age_report(run_cfg.system)
-    return [
-        (s.stream, ref.rate, ref.prob, *_metric_values_se(s), ref.avg_age, ref.peak_age)
-        for s, ref in zip(result.streams, report.streams)
-    ]
+def _simulate_blocks(run_cfg: RunConfig, result: simulator.SimResult) -> list[Block]:
+    ref = analytic.age_report(run_cfg.system).streams
+    stream, rate, prob, avg, peak = _fields(ref, ("stream", "rate", "prob", "avg_age", "peak_age"))
+    return [((len(ref),), [stream, rate, prob, *_fields(result.streams, _FIELDS_SE), avg, peak])]
 
 
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
@@ -161,7 +280,7 @@ def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str 
     with contextlib.nullcontext() if trace_path is None else _atomic_file(trace_path) as fh:
         trace = None if fh is None else _trace_writer(fh, run_cfg.system.num_streams)
         result = simulator.run(params, trace)
-        _emit_table(columns, _simulate_rows(run_cfg, result), run_cfg.output)
+        _emit_table(columns, _simulate_blocks(run_cfg, result), run_cfg.output)
     return 0
 
 
@@ -309,8 +428,8 @@ def cmd_validate(run_cfg: RunConfig, seed_override: int | None) -> int:
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(
-            f"{status} {c['name']}: observed={_fmt(c['observed'])} "
-            f"expected={_fmt(c['expected'])} delta={_fmt(c['delta'])} tol={_fmt(c['tolerance'])}"
+            "%s %s: observed=%.6g expected=%.6g delta=%.6g tol=%.6g"
+            % (status, c["name"], c["observed"], c["expected"], c["delta"], c["tolerance"])
         )
     n_fail = sum(1 for c in checks if not c["passed"])
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
@@ -341,6 +460,9 @@ def cmd_optimize(args) -> int:
         raise ConfigError(f"--rate must be > 0, got {args.rate}")
     if args.streams < 1:
         raise ConfigError(f"--streams must be >= 1, got {args.streams}")
+    if args.streams > optimizer._BLOCK:
+        # a simplex point of more streams would not fit in one of the optimizer's blocks
+        raise ConfigError(f"--streams must be <= {optimizer._BLOCK}, got {args.streams}")
     if args.points < 0:
         raise ConfigError(f"--points must be >= 0, got {args.points}")
     dist = _dist_from_flags(args)
@@ -391,28 +513,42 @@ def _sweep_block(base: SystemConfig, param: str, values: list[float]):
     return lam, probs, laws, analytic.age_columns(lam, probs, laws)
 
 
+# Rows of a sweep evaluated and written at a time; it bounds the memory of a
+# CSV sweep, whatever its grid.
+_SWEEP_ROWS = 1 << 13
+
+
+def _sweep_blocks(run_cfg: RunConfig, param: str, grid: list[float], with_sim: bool, seed_override) -> Iterator[Block]:
+    """The sweep's rows, a block of grid points at a time. With --with-sim a
+    block is one point, so that its simulated rows follow its analytic ones. A
+    block that fails is evaluated again a point at a time, so that the first
+    bad grid value raises."""
+    base, m = run_cfg.system, run_cfg.system.num_streams
+    streams = np.arange(1, m + 1)
+    step = 1 if with_sim else max(1, _SWEEP_ROWS // m)
+    for lo in range(0, len(grid), step):
+        block = grid[lo : lo + step]
+        try:
+            points = [(block, _sweep_block(base, param, block))]
+        except AoiError:
+            points = (([v], _sweep_block(base, param, [v])) for v in block)
+        for values, (lam, probs, laws, columns) in points:
+            # the columns of a grid point's M rows by (point, stream); those of the point alone by (point, 1)
+            columns["mean_system_time"] = columns["mean_system_time"][:, :1]
+            metrics = [columns[field] for field in _FIELDS]
+            totals = [columns[name][:, None] for name in ("total_avg_age", "total_peak_age")]
+            yield (len(values), m), [param, np.array(values)[:, None], streams, "analytic", *metrics, *totals]
+            if with_sim:
+                cfg = SystemConfig(lam[0].item(), tuple(probs[0].tolist()), laws[0])
+                sim = simulator.run(_simulation(run_cfg, seed_override, cfg=cfg, mgf_probes=())).streams
+                stream, *metrics = _fields(sim, ("stream", *_FIELDS))
+                yield (m,), [param, values[0], stream, "simulated", *metrics, None, None]
+
+
 def cmd_sweep(run_cfg: RunConfig, param: str, grid: list[float], with_sim: bool, seed_override) -> int:
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
-    base, m = run_cfg.system, run_cfg.system.num_streams
-    # The grid is one block, unless it is simulated or fails: then each point is a block, in grid
-    # order, so that its simulated rows follow its analytic ones and the first bad point raises.
-    try:
-        blocks = None if with_sim else [(grid, _sweep_block(base, param, grid))]
-    except AoiError:
-        blocks = None
-    rows = []
-    for values, (lam, probs, laws, columns) in blocks or (([v], _sweep_block(base, param, [v])) for v in grid):
-        totals = (columns["total_avg_age"], columns["total_peak_age"])
-        value, tot, tot_pk = (np.repeat(x, m).tolist() for x in (values, *totals))
-        metrics = (columns[field].ravel().tolist() for field, _ in _METRICS)
-        n = len(values) * m
-        rows += zip([param] * n, value, list(range(1, m + 1)) * len(values), ["analytic"] * n, *metrics, tot, tot_pk)
-        if with_sim:
-            cfg = SystemConfig(lam[0].item(), tuple(probs[0].tolist()), laws[0])
-            streams = simulator.run(_simulation(run_cfg, seed_override, cfg=cfg, mgf_probes=())).streams
-            rows += [(param, values[0], s.stream, "simulated", *_metric_values(s), None, None) for s in streams]
-    _emit_table(_SWEEP_COLUMNS, rows, run_cfg.output, _sweep_line)
+    _emit_table(_SWEEP_COLUMNS, _sweep_blocks(run_cfg, param, grid, with_sim, seed_override), run_cfg.output)
     return 0
 
 

@@ -168,6 +168,84 @@ def _labels(rngs: list[np.random.Generator], probs: tuple[float, ...], n: int) -
 _CHUNK = 1 << 16
 
 
+def _sample_path(
+    cfg: SystemConfig,
+    horizon: float,
+    carry: float,
+    first: int,
+    rng_arrivals: np.random.Generator,
+    rng_service: np.random.Generator,
+    traced: bool,
+):
+    """One chunk of the sample path, as far as the tallies and the trace read it.
+
+    The chunk draws _CHUNK arrival gaps after carry, the arrival carried over
+    from the last chunk (or 0.0 with first = 1: the origin is no arrival), and
+    simulates the arrivals before its last one, up to the horizon. Returns, in
+    order: that last arrival, the next chunk's carry; whether the horizon ends
+    in this chunk; the arrival times; the indices of the delivered arrivals,
+    with their delivery and service times; and, if traced, the indices of the
+    preempted arrivals with the times of their preemption, or else None. The
+    chunk's other arrays are freed when it returns.
+    """
+    times = np.cumsum(np.concatenate(([carry], rng_arrivals.exponential(1.0 / cfg.total_rate, _CHUNK))))
+    arr, nxt = times[first:-1], times[first + 1 :]
+    n = int(np.searchsorted(arr, horizon, side="right"))
+    final = n < len(arr)
+    arr, nxt = arr[:n], nxt[:n]
+    services = np.asarray(cfg.service.sample(rng_service, n), dtype=float)
+
+    # delivered iff service completes before the next arrival (ties:
+    # delivered) and before the horizon ends
+    done = arr + services
+    beats_next = services <= (nxt - arr)
+    idx = np.flatnonzero(beats_next & (done <= horizon))
+    pre = np.flatnonzero(~beats_next & (nxt <= horizon)) if traced else None
+    return times[-1], final, arr, idx, done[idx], services[idx], None if pre is None else (pre, nxt[pre])
+
+
+def _trace_block(
+    sink: TraceSink,
+    held: tuple[np.ndarray, ...],
+    rng_trace: list[np.random.Generator],
+    probs: tuple[float, ...],
+    arr: np.ndarray,
+    idx: np.ndarray,
+    d_label: np.ndarray,
+    d_done: np.ndarray,
+    pre: np.ndarray,
+    preempted: np.ndarray,
+    carry: float | None,
+) -> tuple[np.ndarray, ...]:
+    """Hand the sink a chunk's trace rows, after the rows held back from the
+    last chunk, sorted by time and kind up to the carried arrival (carry is
+    None in the final chunk); returns the rows from there on. The chunk's
+    undelivered arrivals draw their streams from rng_trace."""
+    n = len(arr)
+    undelivered = np.ones(n, dtype=bool)
+    undelivered[idx] = False
+    labels = np.empty(n, dtype=d_label.dtype)
+    labels[idx] = d_label
+    labels[undelivered] = _labels(rng_trace, probs, n - len(idx))
+    labels += 1  # the trace counts streams from 1
+    kinds = np.array((_ARRIVAL, _DELIVERY, _PREEMPTION), dtype=np.int8)
+    block = [
+        np.concatenate((held[0], arr, d_done, preempted)),
+        np.concatenate((held[1], np.repeat(kinds, (n, len(idx), len(pre))))),
+        np.concatenate((held[2], labels, labels[idx], labels[pre])),
+        np.concatenate((held[3], arr, arr[idx], arr[pre])),
+    ]
+    order = np.lexsort((block[1], block[0]))
+    for c in range(4):  # a column at a time, so that one at most is held twice
+        block[c] = block[c][order]
+    # No later event comes before the carried arrival, so the block is final
+    # up to its time; the rows from there on (a preemption by that arrival
+    # sorts after it) open the next block, copied so as not to pin this one.
+    cut = len(order) if carry is None else int(np.searchsorted(block[0], carry))
+    sink(tuple(column[:cut] for column in block))
+    return tuple(column[cut:].copy() for column in block)
+
+
 def _simulate_replication(
     cfg: SystemConfig,
     horizon: float,
@@ -178,7 +256,6 @@ def _simulate_replication(
     sink: TraceSink | None = None,
 ) -> list[PerStreamTally]:
     m = cfg.num_streams
-    lam = cfg.total_rate
     # the trace's substreams are spawned on every pass, so that a count-rule
     # rerun draws from the same children whether or not it is traced
     children = seed_seq.spawn(2 + 2 * m)
@@ -201,28 +278,17 @@ def _simulate_replication(
     # into the next chunk as the look-ahead that decides the final delivery.
     carry, first = 0.0, 1  # the first chunk has no carried arrival
     while True:
-        times = np.cumsum(np.concatenate(([carry], rng_arrivals.exponential(1.0 / lam, _CHUNK))))
-        arr, nxt = times[first:-1], times[first + 1 :]
-        n = int(np.searchsorted(arr, horizon, side="right"))
-        final = n < len(arr)
-        arr, nxt = arr[:n], nxt[:n]
-        carry, first = times[-1], 0
-
-        services = np.asarray(cfg.service.sample(rng_service, n), dtype=float)
-
-        # delivered iff service completes before the next arrival (ties:
-        # delivered) and before the horizon ends
-        done = arr + services
-        beats_next = services <= (nxt - arr)
-        delivered = beats_next & (done <= horizon)
-
-        idx = np.flatnonzero(delivered)
+        carry, final, arr, idx, d_done, d_services, pre = _sample_path(
+            cfg, horizon, carry, first, rng_arrivals, rng_service, sink is not None
+        )
+        first = 0
+        d_arr = arr[idx]
         d_label = _labels(rng_select, cfg.stream_probs, len(idx))
         for j in range(m):
-            sel = idx[d_label == j]
+            sel = np.flatnonzero(d_label == j)
             if not len(sel):
                 continue
-            t_d, gen, svc = done[sel], arr[sel], services[sel]
+            t_d, gen, svc = d_done[sel], d_arr[sel], d_services[sel]
             prev_td = np.concatenate(([last[j][0]], t_d[:-1]))
             prev_gen = np.concatenate(([last[j][1]], gen[:-1]))
             has_pred = delivered_before[j]
@@ -254,27 +320,9 @@ def _simulate_replication(
                 t.mgf_sums[s] = total + float(np.exp(s * ys).sum())
 
         if sink is not None:
-            labels = np.empty(n, dtype=d_label.dtype)
-            labels[idx] = d_label
-            labels[~delivered] = _labels(rng_trace, cfg.stream_probs, n - len(idx))
-            labels += 1  # the trace counts streams from 1
-            pre = np.flatnonzero(~beats_next & (nxt <= horizon))
-            kinds = np.array((_ARRIVAL, _DELIVERY, _PREEMPTION), dtype=np.int8)
-            block = [
-                np.concatenate((held[0], arr, done[idx], nxt[pre])),
-                np.concatenate((held[1], np.repeat(kinds, (n, len(idx), len(pre))))),
-                np.concatenate((held[2], labels, labels[idx], labels[pre])),
-                np.concatenate((held[3], arr, arr[idx], arr[pre])),
-            ]
-            order = np.lexsort((block[1], block[0]))
-            for c in range(4):  # a column at a time, so that one at most is held twice
-                block[c] = block[c][order]
-            # No later event comes before the carried arrival, so the block is final
-            # up to its time; the rows from there on (a preemption by that arrival
-            # sorts after it) open the next block, copied so as not to pin this one.
-            cut = len(order) if final else int(np.searchsorted(block[0], carry))
-            held = tuple(column[cut:].copy() for column in block)
-            sink(tuple(column[:cut] for column in block))
+            held = _trace_block(
+                sink, held, rng_trace, cfg.stream_probs, arr, idx, d_label, d_done, *pre, None if final else carry
+            )
         if final:
             break
 

@@ -509,8 +509,10 @@ class TestOptimize:
             (["--rate", "nan"], 2),
             (["--rate", "1e-320"], 3),
             (["--rate", "1.5", "--points", "-5"], 2),
+            # one simplex point of 10**12 streams would not fit in memory
+            (["--rate", "1", "--streams", "1000000000000", "--points", "0"], 2),
         ],
-        ids=["infinite_rate", "nan_rate", "rate_outside_the_float_range", "negative_points"],
+        ids=["infinite_rate", "nan_rate", "rate_outside_the_float_range", "negative_points", "streams_beyond_a_block"],
     )
     def test_flag_errors(self, capsys, flags, code):
         argv = ["optimize", "--streams", "2", "--service", "exponential", "--service-rate", "1", *flags]

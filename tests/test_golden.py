@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from aoi_mg11 import cli
 from aoi_mg11.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -96,6 +97,25 @@ def test_sweep_bytes(tmp_path, name, fmt):
 
 @pytest.mark.parametrize("param, grid, code", INVALID_GRIDS)
 def test_invalid_grid(tmp_path, param, grid, code):
+    expected = json.loads((GOLDEN / "invalid_grids.json").read_text())[f"{param} {grid}"]
+    assert _invalid(tmp_path, param, grid) == (code, expected)
+    assert not (tmp_path / "never.csv").exists()
+
+
+# A sweep is evaluated and written a block of rows at a time; the bytes, and
+# the grid value that a failing sweep names, do not depend on the block size.
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_bytes_at_any_block_size(tmp_path, monkeypatch, rows, name, fmt):
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", rows)
+    assert _sweep(tmp_path, name, fmt) == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("param, grid, code", INVALID_GRIDS)
+def test_invalid_grid_at_any_block_size(tmp_path, monkeypatch, rows, param, grid, code):
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", rows)
     expected = json.loads((GOLDEN / "invalid_grids.json").read_text())[f"{param} {grid}"]
     assert _invalid(tmp_path, param, grid) == (code, expected)
     assert not (tmp_path / "never.csv").exists()
