@@ -192,8 +192,8 @@ def _csv_rows(values: list, shape: tuple[int, ...]) -> str:
     arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
     # the floats of every column in one pass of the kernel, split by column below
     floats = [a.ravel() for a in arrays if a.dtype.kind == "f"]
-    g6, at = _g6(np.concatenate(floats)) if floats else None, 0
-    cells = []
+    g6 = _g6(np.concatenate(floats)) if floats else None
+    cells, at = [], 0
     for a in arrays:
         if a.dtype.kind == "f":
             c, at = g6[:, at : at + a.size], at + a.size

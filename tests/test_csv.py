@@ -121,10 +121,10 @@ def test_csv_cells_are_the_json_values_at_any_load(law, log10_p, x, weights):
                 code = main([argv[0], "-c", str(cfg), *argv[1:]])
                 assert code in (0, 3)
                 outputs[fmt] = (code, out.read_text() if code == 0 else None)
-            csv, json_ = outputs["csv"], outputs["json"]
-            assert csv[0] == json_[0]
-            if csv[0] == 0:
-                assert csv[1] == csv_of_json(json_[1])
+            (code, csv_text), (json_code, json_text) = outputs["csv"], outputs["json"]
+            assert code == json_code
+            if code == 0:
+                assert csv_text == csv_of_json(json_text)
 
 
 def test_csv_sweep_memory_does_not_grow_with_the_grid(tmp_path):
