@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import ServiceDistribution
-from .errors import InvariantViolationError, ParameterDomainError, PoleError
+from .errors import InvariantViolationError, ParameterDomainError, PoleError, require
 
 __all__ = [
     "SystemConfig",
@@ -75,16 +75,13 @@ class SystemConfig:
 
     def service_beats_arrival(self) -> float:
         """P(lam): probability a service completes before the next arrival."""
-        return beats_arrival(self.service, self.total_rate)
+        return float(beats_arrival(self.service, self.total_rate))
 
 
 def check_systems(total_rates: np.ndarray, stream_probs: np.ndarray) -> None:
     """SystemConfig's checks on the systems total_rates[g], split by the rows stream_probs[g]."""
-    bad = ~((total_rates > 0) & np.isfinite(total_rates))
-    if bad.any():
-        raise ParameterDomainError(f"total_rate must be > 0, got {total_rates[bad][0].item()}")
-    if stream_probs.shape[1] < 1:
-        raise ParameterDomainError("at least one stream is required")
+    require((total_rates > 0) & np.isfinite(total_rates), "total_rate must be > 0, got {}", total_rates)
+    require(stream_probs.shape[1] >= 1, "at least one stream is required")
     bad = (~(stream_probs > 0)).any(axis=1)  # NaN fails too
     if bad.any():
         probs = tuple(stream_probs[bad][0].tolist())
@@ -98,11 +95,10 @@ def check_systems(total_rates: np.ndarray, stream_probs: np.ndarray) -> None:
             raise ParameterDomainError(f"stream probabilities must sum to 1 (got {total!r})")
 
 
-def beats_arrival(service: ServiceDistribution, total_rate: float) -> float:
-    """P(lam) of a service law at total rate lam; 0 is outside the float range."""
+def beats_arrival(service: ServiceDistribution, total_rate):
+    """P(lam) of a service law at the total rates lam; the first rate where it underflows to 0 raises."""
     p = service.laplace(total_rate)
-    if p == 0.0:
-        raise ParameterDomainError(f"P(lam) underflows to 0 at total rate {total_rate}")
+    require(p != 0.0, "P(lam) underflows to 0 at total rate {}", total_rate)
     return p
 
 
@@ -137,12 +133,12 @@ def _second_moment_interdeparture(li: float, p: float, ew: float) -> float:
 
 def system_time_mgf(cfg: SystemConfig, s: float) -> float:
     """MGF of the system time of a delivered update (same for every stream)."""
-    return cfg.service.laplace(cfg.total_rate - s) / cfg.service_beats_arrival()
+    return float(cfg.service.laplace(cfg.total_rate - s)) / cfg.service_beats_arrival()
 
 
 def interdeparture_mgf(cfg: SystemConfig, i: int, s: float) -> float:
     """MGF of the gap between consecutive deliveries of stream i."""
-    num = cfg.stream_rate(i) * cfg.service.laplace(cfg.total_rate - s)
+    num = cfg.stream_rate(i) * float(cfg.service.laplace(cfg.total_rate - s))
     den = num - s
     # relative to the operands: at heavy load num is tiny but exact
     if abs(den) <= 1e-12 * max(abs(num), abs(s)):
@@ -166,7 +162,7 @@ def clock_mgf_B(cfg: SystemConfig, s: float) -> float:
     p = cfg.service_beats_arrival()
     if 1.0 - p <= 0.0:
         raise ParameterDomainError("service law is degenerate at zero; clock B undefined")
-    return lam * (1.0 - cfg.service.laplace(lam - s)) / ((lam - s) * (1.0 - p))
+    return lam * (1.0 - float(cfg.service.laplace(lam - s))) / ((lam - s) * (1.0 - p))
 
 
 def moments_from_mgf(mgf: Callable[[float], float], order: int, h: float = 1e-4) -> float:
@@ -221,28 +217,29 @@ def _disagree(direct, decomposed):
 
 
 def age_columns(
-    total_rates: np.ndarray, stream_probs: np.ndarray, services: list[ServiceDistribution]
+    total_rates: np.ndarray, stream_probs: np.ndarray, service: ServiceDistribution
 ) -> dict[str, np.ndarray]:
     """Each StreamMetrics field but the stream (G x M) and AgeReport total (G) of G systems with M streams.
 
-    System g has total rate total_rates[g], the split stream_probs[g] and the service law services[g]. The
-    systems are checked as SystemConfig checks one, and P(lam) must not underflow to 0. Each age is computed
-    twice, by the direct closed form and by the sawtooth moment decomposition (E[T] + E[Y^2]/(2 E[Y]) for
-    the average, E[T] + E[Y] for the peak); the two must agree to 1e-9 relative. The peak age must exceed
-    the average, or equal it where E[T] is below 2^-53 of it and so rounds away. E[Y^2] must lie in the
-    float range. The first element, in row order, to fail a check raises that check's error.
+    System g has total rate total_rates[g], the split stream_probs[g] and the service law service, whose
+    fields are floats or arrays of G values (system g takes element g): P(lam) and E[S e^{-lam S}] are
+    evaluated once for all G. The systems are checked as SystemConfig checks one, and P(lam) must not
+    underflow to 0. Each age is computed twice, by the direct closed form and by the sawtooth moment
+    decomposition (E[T] + E[Y^2]/(2 E[Y]) for the average, E[T] + E[Y] for the peak); the two must agree
+    to 1e-9 relative. The peak age must exceed the average, or equal it where E[T] is below 2^-53 of it
+    and so rounds away. E[Y^2] must lie in the float range. The first element, in row order, to fail a
+    check raises that check's error.
     """
     check_systems(total_rates, stream_probs)
-    return _age_columns(total_rates, stream_probs, services)
+    return _age_columns(total_rates, stream_probs, service)
 
 
 def _age_columns(
-    total_rates: np.ndarray, stream_probs: np.ndarray, services: list[ServiceDistribution]
+    total_rates: np.ndarray, stream_probs: np.ndarray, service: ServiceDistribution
 ) -> dict[str, np.ndarray]:
     """age_columns on systems that already passed check_systems."""
-    terms = [(beats_arrival(law, x), law.exp_weighted_mean(x)) for law, x in zip(services, total_rates.tolist())]
-    p, ew = np.array(terms).T
-    p, ew = p[:, None], ew[:, None]
+    p = beats_arrival(service, total_rates)[:, None]
+    ew = service.exp_weighted_mean(total_rates)[:, None]
     rates = total_rates[:, None] * stream_probs
     with np.errstate(all="ignore"):  # values outside the float range fail the first check
         e_t = _mean_system_time(p, ew)
@@ -281,7 +278,7 @@ def _age_columns(
 def age_report(cfg: SystemConfig) -> AgeReport:
     """All per-stream metrics plus totals: age_columns on the one system."""
     # cfg passed check_systems when it was built
-    columns = _age_columns(np.array([cfg.total_rate], dtype=float), np.array([cfg.stream_probs]), [cfg.service])
+    columns = _age_columns(np.array([cfg.total_rate], dtype=float), np.array([cfg.stream_probs]), cfg.service)
     totals = [columns.pop(name).item() for name in ("total_avg_age", "total_peak_age")]
     per_stream = zip(*(c[0].tolist() for c in columns.values()))
     return AgeReport(tuple(StreamMetrics(i, *row) for i, row in enumerate(per_stream, start=1)), *totals)

@@ -34,6 +34,7 @@ from .errors import (
     ParameterDomainError,
     PoleError,
     SingularSystemError,
+    require,
 )
 
 EXIT_CONFIG = 2
@@ -216,21 +217,27 @@ Block = tuple[tuple[int, ...], list]
 
 
 def _emit_table(columns: tuple[str, ...], blocks: Iterable[Block], out) -> None:
-    """Write a table as CSV (6 significant digits) or JSON (full precision). The
-    rows come in blocks, a (shape, values) pair as _csv_rows takes; a CSV table
-    is written a block at a time."""
+    """Write a table as CSV (6 significant digits) or JSON (full precision), a
+    block of rows at a time; the rows come in blocks, a (shape, values) pair as
+    _csv_rows takes. The JSON bytes are those of json.dumps({"columns": columns,
+    "rows": rows}, indent=2) of a table with rows."""
     with _output(out.path) as fh:
         if out.format == "csv":
             fh.write(",".join(columns) + "\n")
             for shape, values in blocks:
                 fh.write(_csv_rows(values, shape))
         else:
-            rows = []
+            # {"columns": ...} without its closing "\n}", then the opening of "rows"
+            fh.write(json.dumps({"columns": columns}, indent=2)[:-2] + ',\n  "rows": [\n')
+            separator = ""
             for shape, values in blocks:
                 n = math.prod(shape)
                 cells = ([v] * n if v is None else np.broadcast_to(v, shape).ravel().tolist() for v in values)
-                rows += [dict(zip(columns, row)) for row in zip(*cells)]
-            fh.write(json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n")
+                rows = json.dumps([dict(zip(columns, row)) for row in zip(*cells)], indent=2)
+                # the block's rows one level deeper, without the brackets of their list
+                fh.write(separator + "  " + rows[2:-2].replace("\n", "\n  "))
+                separator = ",\n"
+            fh.write("\n  ]\n}\n")
 
 
 def _fields(objects, names: tuple[str, ...]) -> list[np.ndarray]:
@@ -403,7 +410,7 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None):
 
     # simulation vs analytic ages, delivery rates, renewal identity, MGF probes
     if sim_settings is not None:
-        result = simulator.run(_simulation(run_cfg, seed_override))
+        result = simulator.run(_simulation(run_cfg, seed_override, mgf_probes=run_cfg.mgf_s_values))
         p_lam = cfg.service_beats_arrival()
         for st, ref in zip(result.streams, report.streams):
             i = st.stream
@@ -481,9 +488,9 @@ def cmd_optimize(args) -> int:
 
 
 def _sweep_block(base: SystemConfig, param: str, values: list[float]):
-    """The total rates, splits and service laws at the grid values, and their analytic.age_columns."""
+    """The grid values' total rates, splits and service law (one law for a field's grid), and their age_columns."""
     g, m = len(values), base.num_streams
-    lam, probs, laws = np.full(g, base.total_rate), np.tile(base.stream_probs, (g, 1)), [base.service] * g
+    lam, probs, law = np.full(g, base.total_rate), np.tile(base.stream_probs, (g, 1)), base.service
     if param == "total_rate":
         lam = np.array(values)
     elif param.startswith("p"):
@@ -496,9 +503,8 @@ def _sweep_block(base: SystemConfig, param: str, values: list[float]):
         if m < 2:
             raise ConfigError("sweeping a stream probability needs at least two streams")
         p_i = np.array(values)
-        outside = ~((0.0 < p_i) & (p_i < 1.0))
-        if outside.any():
-            raise ConfigError(f"stream probability grid value {p_i[outside][0].item()} outside (0, 1)")
+        ok = (0.0 < p_i) & (p_i < 1.0)
+        require(ok, "stream probability grid value {} outside (0, 1)", p_i, error=ConfigError)
         probs = np.repeat(((1.0 - p_i) / (m - 1))[:, None], m, axis=1)
         probs[:, idx - 1] = p_i
     else:
@@ -509,8 +515,8 @@ def _sweep_block(base: SystemConfig, param: str, values: list[float]):
                 f"unknown sweep parameter {param!r}; expected total_rate, p<i>, "
                 f"or a field of the service law {sorted(fields)}"
             )
-        laws = [distribution_from_config({**spec, param: v}) for v in values]
-    return lam, probs, laws, analytic.age_columns(lam, probs, laws)
+        law = distribution_from_config({**spec, param: np.array(values)})
+    return lam, probs, law, analytic.age_columns(lam, probs, law)
 
 
 # Rows of a sweep evaluated and written at a time; it bounds the memory of a
@@ -532,15 +538,17 @@ def _sweep_blocks(run_cfg: RunConfig, param: str, grid: list[float], with_sim: b
             points = [(block, _sweep_block(base, param, block))]
         except AoiError:
             points = (([v], _sweep_block(base, param, [v])) for v in block)
-        for values, (lam, probs, laws, columns) in points:
+        for values, (lam, probs, law, columns) in points:
             # the columns of a grid point's M rows by (point, stream); those of the point alone by (point, 1)
             columns["mean_system_time"] = columns["mean_system_time"][:, :1]
             metrics = [columns[field] for field in _FIELDS]
             totals = [columns[name][:, None] for name in ("total_avg_age", "total_peak_age")]
             yield (len(values), m), [param, np.array(values)[:, None], streams, "analytic", *metrics, *totals]
             if with_sim:
-                cfg = SystemConfig(lam[0].item(), tuple(probs[0].tolist()), laws[0])
-                sim = simulator.run(_simulation(run_cfg, seed_override, cfg=cfg, mgf_probes=())).streams
+                if param in CONFIG_FIELDS[law.kind]:  # the simulated point's law has scalar fields
+                    law = dataclasses.replace(law, **{param: values[0]})
+                cfg = SystemConfig(lam[0].item(), tuple(probs[0].tolist()), law)
+                sim = simulator.run(_simulation(run_cfg, seed_override, cfg=cfg)).streams
                 stream, *metrics = _fields(sim, ("stream", *_FIELDS))
                 yield (m,), [param, values[0], stream, "simulated", *metrics, None, None]
 
@@ -580,6 +588,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(args, seed_override: int | None) -> int:
+    if args.command == "optimize":
+        return cmd_optimize(args)
+    run_cfg = load_run_config(args.config)
+    if args.command == "analyze":
+        return cmd_analyze(run_cfg)
+    if args.command == "simulate":
+        return cmd_simulate(run_cfg, seed_override, args.trace)
+    if args.command == "validate":
+        return cmd_validate(run_cfg, seed_override)
+    if args.command == "sweep":
+        try:
+            grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"malformed grid {args.grid!r}: {exc}") from exc
+        return cmd_sweep(run_cfg, args.param, grid, args.with_sim, seed_override)
+    raise AssertionError(f"unhandled command {args.command}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     seed_override = None
@@ -595,22 +622,15 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
 
     try:
-        if args.command == "optimize":
-            return cmd_optimize(args)
-        run_cfg = load_run_config(args.config)
-        if args.command == "analyze":
-            return cmd_analyze(run_cfg)
-        if args.command == "simulate":
-            return cmd_simulate(run_cfg, seed_override, args.trace)
-        if args.command == "validate":
-            return cmd_validate(run_cfg, seed_override)
-        if args.command == "sweep":
-            try:
-                grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
-            except ValueError as exc:
-                raise ConfigError(f"malformed grid {args.grid!r}: {exc}") from exc
-            return cmd_sweep(run_cfg, args.param, grid, args.with_sim, seed_override)
-        raise AssertionError(f"unhandled command {args.command}")
+        code = _command(args, seed_override)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone: what is left of the output goes to
+        # devnull, so that the flush at exit has nothing more to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"config error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .analytic import SystemConfig
 from .distributions import distribution_from_config, finite_number
-from .errors import ConfigError, ParameterDomainError
+from .errors import ConfigError, ParameterDomainError, require
 from .simulator import SimParams
 
 __all__ = ["RunConfig", "OutputSettings", "load_run_config"]
@@ -114,11 +116,11 @@ _SIMULATION_FIELDS = {
 }
 
 
-def _parse_simulation(obj: dict, system: SystemConfig, probes: tuple[float, ...]) -> SimParams:
+def _parse_simulation(obj: dict, system: SystemConfig) -> SimParams:
     _reject_unknown(obj, _SIMULATION_FIELDS, "simulation")
     fields = {key: _SIMULATION_FIELDS[key](v, f"simulation.{key}") for key, v in obj.items()}
     try:
-        return SimParams(system, mgf_probes=probes, **fields)
+        return SimParams(system, **fields)
     except ParameterDomainError as exc:
         raise ConfigError(f"simulation: {exc}") from exc
 
@@ -126,12 +128,8 @@ def _parse_simulation(obj: dict, system: SystemConfig, probes: tuple[float, ...]
 def _parse_probes(obj: dict) -> tuple[float, ...]:
     _reject_unknown(obj, {"mgf_s_values"}, "probes")
     vals = _numbers(obj.get("mgf_s_values", []), "probes.mgf_s_values")
-    for v in vals:
-        if v > 0:
-            raise ConfigError(
-                f"probes.mgf_s_values must be <= 0 (empirical MGF checks are only "
-                f"stable for non-positive s), got {v}"
-            )
+    message = "probes.mgf_s_values must be <= 0 (empirical MGF checks are only stable for non-positive s), got {}"
+    require(np.asarray(vals) <= 0, message, vals, error=ConfigError)
     return vals
 
 
@@ -170,6 +168,6 @@ def load_run_config(path: str | Path) -> RunConfig:
     probes = _parse_probes(_require_object(root.get("probes", {}), "probes"))
     simulation = None
     if "simulation" in root:
-        simulation = _parse_simulation(_require_object(root["simulation"], "simulation"), system, probes)
+        simulation = _parse_simulation(_require_object(root["simulation"], "simulation"), system)
     output = _parse_output(_require_object(root.get("output", {}), "output"))
     return RunConfig(system=system, simulation=simulation, mgf_s_values=probes, output=output)

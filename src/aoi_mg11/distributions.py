@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, ParameterDomainError
+from .errors import ConfigError, ParameterDomainError, require
 
 __all__ = [
     "ServiceDistribution",
@@ -33,21 +33,25 @@ class ServiceDistribution:
     """Base class; concrete laws are the frozen dataclasses below.
 
     A law's config spelling is its ``kind`` and its dataclass fields, in
-    constructor order: the law is declared once, by its class.
+    constructor order: the law is declared once, by its class. A field is a
+    float, or an array of G values for G laws of the family; the checks on
+    the fields and on s name the first element that fails. A method that can
+    leave the float range evaluates under np.errstate(all="ignore"), and
+    either checks its value or leaves it to its caller's checks.
     """
 
     kind: ClassVar[str]
 
-    def laplace(self, s: float) -> float:
-        """E[e^{-sS}] in closed form; raises outside the convergence region."""
+    def laplace(self, s):
+        """E[e^{-sS}] in closed form, broadcast over s and the fields; raises outside the convergence region."""
         raise NotImplementedError
 
-    def exp_weighted_mean(self, s: float) -> float:
-        """E[S e^{-sS}] = -d/ds E[e^{-sS}], in closed form."""
+    def exp_weighted_mean(self, s):
+        """E[S e^{-sS}] = -d/ds E[e^{-sS}], in closed form, broadcast as laplace is."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size i.i.d. strictly positive draws from the law."""
+        """size i.i.d. strictly positive draws from a law whose fields are floats."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -61,21 +65,18 @@ class Exponential(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ParameterDomainError(f"Exponential rate must be > 0, got {self.rate}")
+        require((self.rate > 0) & np.isfinite(self.rate), "Exponential rate must be > 0, got {}", self.rate)
 
-    def laplace(self, s: float) -> float:
-        if s <= -self.rate:
-            raise ParameterDomainError(f"Laplace argument {s} <= -rate {-self.rate}")
+    def laplace(self, s):
+        require(s > -self.rate, "Laplace argument {} <= -rate {}", s, -self.rate)
         return self.rate / (self.rate + s)
 
-    def exp_weighted_mean(self, s: float) -> float:
-        if s <= -self.rate:
-            raise ParameterDomainError(f"argument {s} <= -rate {-self.rate}")
-        try:
-            return self.rate / (self.rate + s) ** 2
-        except (OverflowError, ZeroDivisionError) as exc:  # (rate + s)^2 leaves the float range
-            raise ParameterDomainError(f"E[S e^(-sS)] at s={s} is outside the float range") from exc
+    @np.errstate(all="ignore")
+    def exp_weighted_mean(self, s):
+        require(s > -self.rate, "argument {} <= -rate {}", s, -self.rate)
+        square = (self.rate + s) ** 2
+        require((0.0 < square) & (square < np.inf), "E[S e^(-sS)] at s={} is outside the float range", s)
+        return self.rate / square
 
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
@@ -88,22 +89,20 @@ class Gamma(ServiceDistribution):
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and math.isfinite(self.shape)):
-            raise ParameterDomainError(f"Gamma shape must be > 0, got {self.shape}")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ParameterDomainError(f"Gamma scale must be > 0, got {self.scale}")
+        require((self.shape > 0) & np.isfinite(self.shape), "Gamma shape must be > 0, got {}", self.shape)
+        require((self.scale > 0) & np.isfinite(self.scale), "Gamma scale must be > 0, got {}", self.scale)
 
-    def laplace(self, s: float) -> float:
-        if s <= -1.0 / self.scale:
-            raise ParameterDomainError(f"Laplace argument {s} <= -1/scale {-1.0 / self.scale}")
+    @np.errstate(all="ignore")
+    def laplace(self, s):
+        require(s > -1.0 / self.scale, "Laplace argument {} <= -1/scale {}", s, -1.0 / self.scale)
         # log1p keeps the digits of s * scale that rounding 1 + s * scale loses;
         # with a large shape, the power would multiply that loss by the shape
-        return math.exp(-self.shape * math.log1p(s * self.scale))
+        return np.exp(-self.shape * np.log1p(s * self.scale))
 
-    def exp_weighted_mean(self, s: float) -> float:
-        if s <= -1.0 / self.scale:
-            raise ParameterDomainError(f"argument {s} <= -1/scale {-1.0 / self.scale}")
-        return self.shape * self.scale * math.exp(-(self.shape + 1.0) * math.log1p(s * self.scale))
+    @np.errstate(all="ignore")
+    def exp_weighted_mean(self, s):
+        require(s > -1.0 / self.scale, "argument {} <= -1/scale {}", s, -1.0 / self.scale)
+        return self.shape * self.scale * np.exp(-(self.shape + 1.0) * np.log1p(s * self.scale))
 
     def sample(self, rng, size):
         return rng.gamma(self.shape, self.scale, size)
@@ -115,24 +114,23 @@ class Deterministic(ServiceDistribution):
     value: float
 
     def __post_init__(self):
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise ParameterDomainError(f"Deterministic value must be > 0, got {self.value}")
+        require((self.value > 0) & np.isfinite(self.value), "Deterministic value must be > 0, got {}", self.value)
 
-    def laplace(self, s: float) -> float:
-        return math.exp(-s * self.value)
+    @np.errstate(all="ignore")
+    def laplace(self, s):
+        return np.exp(-s * self.value)
 
-    def exp_weighted_mean(self, s: float) -> float:
-        return self.value * math.exp(-s * self.value)
+    @np.errstate(all="ignore")
+    def exp_weighted_mean(self, s):
+        return self.value * np.exp(-s * self.value)
 
     def sample(self, rng, size):
         return np.full(size, self.value)
 
 
-def _em1_over(x: float) -> float:
-    """(1 - e^{-x}) / x, stable near 0."""
-    if x == 0.0:
-        return 1.0
-    return -math.expm1(-x) / x
+def _em1_over(x):
+    """(1 - e^{-x}) / x, stable near 0; [()] makes the result of a scalar x a scalar, not a 0-d array."""
+    return np.where(x == 0.0, 1.0, -np.expm1(-x) / x)[()]
 
 
 # Taylor coefficients of _dem1_over, -(-1)^k (k+1)/(k+2)!, highest order
@@ -140,18 +138,16 @@ def _em1_over(x: float) -> float:
 _DEM1_SERIES = tuple(-((-1) ** k) * (k + 1) / math.factorial(k + 2) for k in reversed(range(16)))
 
 
-def _dem1_over(x: float) -> float:
+def _dem1_over(x):
     """d/dx [(1 - e^{-x}) / x] = (e^{-x}(1 + x) - 1) / x^2, stable near 0.
 
     The closed form loses about 2e-16 / |e^{-x}(1 + x) - 1| to cancellation,
     so below |x| = 1/2 the Taylor series is summed instead.
     """
-    if abs(x) < 0.5:
-        acc = 0.0
-        for c in _DEM1_SERIES:
-            acc = acc * x + c
-        return acc
-    return (math.exp(-x) * (1.0 + x) - 1.0) / (x * x)
+    series = 0.0
+    for c in _DEM1_SERIES:
+        series = series * x + c
+    return np.where(np.abs(x) < 0.5, series, (np.exp(-x) * (1.0 + x) - 1.0) / (x * x))[()]
 
 
 @dataclass(frozen=True)
@@ -161,29 +157,22 @@ class Uniform(ServiceDistribution):
     upper: float
 
     def __post_init__(self):
-        if not (self.lower >= 0 and math.isfinite(self.lower)):
-            raise ParameterDomainError(f"Uniform lower must be >= 0, got {self.lower}")
-        if not (self.upper > self.lower and math.isfinite(self.upper)):
-            raise ParameterDomainError(
-                f"Uniform upper must exceed lower, got [{self.lower}, {self.upper}]"
-            )
+        require((self.lower >= 0) & np.isfinite(self.lower), "Uniform lower must be >= 0, got {}", self.lower)
+        ok = (self.upper > self.lower) & np.isfinite(self.upper)
+        require(ok, "Uniform upper must exceed lower, got [{}, {}]", self.lower, self.upper)
 
-    def laplace(self, s: float) -> float:
+    @np.errstate(all="ignore")
+    def laplace(self, s):
         # removable singularity at s = 0: _em1_over is accurate on any scale down to x = 0
-        x = s * (self.upper - self.lower)
-        try:
-            value = math.exp(-s * self.lower) * _em1_over(x)
-        except OverflowError:  # e^{-s a} or e^{-x} leaves the float range
-            value = math.inf
-        if value == math.inf:
-            raise ParameterDomainError(f"E[e^(-sS)] at s={s} is outside the float range")
+        value = np.exp(-s * self.lower) * _em1_over(s * (self.upper - self.lower))
+        require(value < np.inf, "E[e^(-sS)] at s={} is outside the float range", s)
         return value
 
-    def exp_weighted_mean(self, s: float) -> float:
+    @np.errstate(all="ignore")
+    def exp_weighted_mean(self, s):
         a, b = self.lower, self.upper
         x = s * (b - a)
-        g = _em1_over(x)
-        return math.exp(-s * a) * (a * g - (b - a) * _dem1_over(x))
+        return np.exp(-s * a) * (a * _em1_over(x) - (b - a) * _dem1_over(x))
 
     def sample(self, rng, size):
         # exact-zero draws (possible only when lower == 0) are redrawn
@@ -200,8 +189,11 @@ _CONFIG_CLASSES = {cls.kind: cls for cls in (Exponential, Gamma, Deterministic, 
 CONFIG_FIELDS = {kind: tuple(f.name for f in dataclasses.fields(cls)) for kind, cls in _CONFIG_CLASSES.items()}
 
 
-def finite_number(value, where: str) -> float:
-    """A config number as a float: no bool, string, NaN, Infinity or int beyond the float range."""
+def finite_number(value, where: str):
+    """A finite config number as a float, or a float array elementwise: no bool, string or int past the float range."""
+    if isinstance(value, np.ndarray):
+        require(np.isfinite(value), f"{where} must be finite, got {{!r}}", value, error=ConfigError)
+        return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the elementwise check that raises them."""
+
+import numpy as np
 
 
 class AoiError(Exception):
@@ -35,3 +37,12 @@ class ConditioningTooRareError(AoiError):
 
 class ConfigError(AoiError):
     """A run configuration file or CLI flag set failed validation."""
+
+
+def require(ok, message: str, *values, error: type[AoiError] = ParameterDomainError) -> None:
+    """Raise error(message.format(*v)) unless ok holds at every element: v are the values, broadcast
+    to the shape of ok, at the first element (in C order) where it fails, as Python scalars."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        k = np.argmin(ok.ravel())
+        raise error(message.format(*(np.broadcast_to(v, ok.shape).flat[k].item() for v in values)))

@@ -159,7 +159,7 @@ def solve_transfer_by_elimination(g: FlowGraph) -> float:
     inflow[3, :3] = g.exit[1:]
     mat = np.eye(4) - inflow
     rhs = np.append(g.mat[Q0, 1:], g.exit[Q0])
-    det = np.linalg.det(mat)
+    det = float(np.linalg.det(mat))
     if abs(det) < 1e-12:
         raise SingularSystemError(f"flow-graph system is singular (det={det!r})")
     return float(np.linalg.solve(mat, rhs)[3])

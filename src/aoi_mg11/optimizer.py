@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import SystemConfig, _avg_age, _peak_age, age_columns, beats_arrival
 from .distributions import ServiceDistribution
-from .errors import InvariantViolationError, ParameterDomainError
+from .errors import InvariantViolationError, ParameterDomainError, require
 
 __all__ = ["AllocationResult", "total_age", "optimal_allocation", "priority_frontier"]
 
@@ -45,17 +45,15 @@ def _check_factored(tot, tot_peak, probs: np.ndarray, lam: float, p_lam: float, 
     (1/(lam P)) * sum(1/p_i) form to 1e-12 relative in every row."""
     factored, factored_peak = _factored_totals((1.0 / probs).sum(axis=1), probs.shape[1], lam, p_lam, ew)
     for label, x, y in (("total age", tot, factored), ("total peak age", tot_peak, factored_peak)):
-        bad = np.abs(x - y) > 1e-12 * np.abs(x)
-        if bad.any():
-            raise InvariantViolationError(f"{label}: summed {x[bad][0]!r} vs factored {y[bad][0]!r}")
+        ok = ~(np.abs(x - y) > 1e-12 * np.abs(x))
+        require(ok, f"{label}: summed {{!r}} vs factored {{!r}}", x, y, error=InvariantViolationError)
 
 
 def _checked_columns(lam: float, dist: ServiceDistribution, probs: np.ndarray) -> dict[str, np.ndarray]:
     """analytic.age_columns of the splits in the rows of probs at total rate lam, its totals
     checked against the factored form."""
-    g = len(probs)
-    columns = age_columns(np.full(g, lam, dtype=float), probs, [dist] * g)
-    p_lam, ew = beats_arrival(dist, lam), dist.exp_weighted_mean(lam)
+    columns = age_columns(np.full(len(probs), lam, dtype=float), probs, dist)
+    p_lam, ew = float(beats_arrival(dist, lam)), float(dist.exp_weighted_mean(lam))
     _check_factored(columns["total_avg_age"], columns["total_peak_age"], probs, lam, p_lam, ew)
     return columns
 
@@ -90,7 +88,7 @@ def optimal_allocation(
     if rng is None:
         rng = np.random.default_rng(0)
     _checked_columns(lam, dist, np.full((1, m), 1.0 / m))  # analyze's checks, on the fair split
-    p_lam, ew = beats_arrival(dist, lam), dist.exp_weighted_mean(lam)
+    p_lam, ew = float(beats_arrival(dist, lam)), float(dist.exp_weighted_mean(lam))
     delta_tot_star, delta_peak_tot_star = _factored_totals(m * m, m, lam, p_lam, ew)
 
     max_violation = 0.0

@@ -41,6 +41,13 @@ class TestAges:
         with pytest.raises(ParameterDomainError):
             SystemConfig(1.0, (0.5, 0.5), Deterministic(0.0))
 
+    def test_the_first_rate_where_p_underflows_is_named(self):
+        # e^{-800} and e^{-900} underflow to 0
+        with pytest.raises(ParameterDomainError, match=r"^P\(lam\) underflows to 0 at total rate 800.0$"):
+            analytic.beats_arrival(Deterministic(1.0), np.array([1.0, 800.0, 900.0]))
+        with pytest.raises(ParameterDomainError, match=r"^P\(lam\) underflows to 0 at total rate 400.0$"):
+            analytic.beats_arrival(Deterministic(np.array([1.0, 2.0])), 400.0)
+
     def test_nan_split_rejected(self):
         # NaN is neither <= 0 nor more than the tolerance away from 1
         with pytest.raises(ParameterDomainError, match="every stream probability must be > 0"):

@@ -14,7 +14,7 @@ from aoi_mg11 import cli, simulator
 from aoi_mg11.analytic import SystemConfig
 from aoi_mg11.cli import main
 from aoi_mg11.config import load_run_config
-from aoi_mg11.distributions import Exponential
+from aoi_mg11.distributions import Exponential, Uniform
 from aoi_mg11.errors import ConfigError
 
 REF_SYSTEM = {
@@ -559,6 +559,20 @@ class TestSweep:
         cfg = write_config(tmp_path, system=REF_SYSTEM, output={"path": str(out)})
         assert main(["sweep", "-c", cfg, "--param", "rate", "--grid", "0.5,1.0,2.0"]) == 0
         assert len(read_csv(out)) == 9
+
+    def test_service_field_sweep_evaluates_one_law_per_block(self, tmp_path, monkeypatch):
+        # 4,000 points of 3 streams are two blocks, of 8,192 // 3 = 2,730 points and 1,270
+        calls = []
+        for name in ("__post_init__", "laplace", "exp_weighted_mean"):
+            method = getattr(Uniform, name)
+            counted = lambda self, *args, method=method, name=name: calls.append(name) or method(self, *args)
+            monkeypatch.setattr(Uniform, name, counted)
+        system = {**REF_SYSTEM, "service": {"type": "uniform", "lower": 0.2, "upper": 1.0}}
+        cfg = write_config(tmp_path, system=system, output={"path": str(tmp_path / "sweep.csv")})
+        grid = ",".join(repr(1.0 + k / 1000) for k in range(4000))
+        assert main(["sweep", "-c", cfg, "--param", "upper", "--grid", grid]) == 0
+        # the config's law, then each block's law and its P(lam) and E[S e^(-lam S)]
+        assert calls == ["__post_init__"] + ["__post_init__", "laplace", "exp_weighted_mean"] * 2
 
     def test_empty_grid(self, tmp_path):
         cfg = write_config(tmp_path, system=REF_SYSTEM)

@@ -127,14 +127,15 @@ def test_csv_cells_are_the_json_values_at_any_load(law, log10_p, x, weights):
                 assert csv_text == csv_of_json(json_text)
 
 
-def test_csv_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+def _sweep_peaks(tmp_path, fmt: str, stream_probs: list[float]) -> tuple[int, int]:
+    """tracemalloc's peak of a sweep written as fmt, at 4,000 and at 40,000 grid points."""
     system = {
         "total_rate": 1.0,
-        "stream_probs": [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08],
+        "stream_probs": stream_probs,
         "service": {"type": "uniform", "lower": 0.2, "upper": 1.0},
     }
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"system": system, "output": {"format": "csv", "path": str(tmp_path / "sweep.csv")}}))
+    cfg.write_text(json.dumps({"system": system, "output": {"format": fmt, "path": str(tmp_path / f"sweep.{fmt}")}}))
     run_cfg = load_run_config(str(cfg))
 
     def peak(points: int) -> int:
@@ -146,4 +147,17 @@ def test_csv_sweep_memory_does_not_grow_with_the_grid(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak(40_000) <= 2.0 * peak(4_000)
+    return peak(4_000), peak(40_000)
+
+
+def test_csv_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    small, large = _sweep_peaks(tmp_path, "csv", [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08])
+    assert large <= 2.0 * small
+
+
+def test_json_sweep_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # one stream, since json.dumps with an indent takes about 0.2 ms a row
+    # under tracemalloc; blocks of 1,024 rows, so that both grids span whole blocks
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", 1 << 10)
+    small, large = _sweep_peaks(tmp_path, "json", [1.0])
+    assert large <= 2.0 * small

@@ -64,10 +64,14 @@ class TestLaplace:
 
     @pytest.mark.parametrize("dist,pdf,lo_hi", DENSITY_VARIANTS)
     def test_matches_quadrature_on_grid(self, dist, pdf, lo_hi):
+        # one call on the array of s
         lo, hi = lo_hi
-        for s in np.linspace(lo + 0.05, hi, 12):
+        grid = np.linspace(lo + 0.05, hi, 12)
+        for s, value, weighted in zip(grid.tolist(), dist.laplace(grid), dist.exp_weighted_mean(grid)):
             ref = quad_laplace(pdf, s)
-            assert abs(dist.laplace(s) - ref) < 1e-8 * max(1.0, abs(ref))
+            assert abs(value - ref) < 1e-8 * max(1.0, abs(ref))
+            ref = quad_weighted_mean(pdf, s)
+            assert abs(weighted - ref) < 1e-8 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("dist", ALL_VARIANTS)
     def test_normalized_and_decreasing(self, dist):
@@ -123,6 +127,46 @@ class TestExpWeightedMean:
             assert dist.exp_weighted_mean(s) == pytest.approx(
                 quad_weighted_mean(stats.uniform(0.0, 2.0).pdf, s), abs=1e-9
             )
+
+
+class TestArrays:
+    @pytest.mark.parametrize("dist", ALL_VARIANTS)
+    def test_array_of_s_is_each_element(self, dist):
+        grid = np.append(np.linspace(-0.4, 6.0, 41), [0.0, 1e-300, 40.0])
+        for method in (dist.laplace, dist.exp_weighted_mean):
+            values = method(grid)
+            assert values.shape == grid.shape
+            assert values.tolist() == [float(method(s)) for s in grid.tolist()]
+
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            (Exponential, {"rate": [0.3, 1.0, 7.5, 1e-9]}),
+            (Gamma, {"shape": [0.7, 2.0, 30.0, 1e16], "scale": [1.3, 0.5, 0.01, 1e-17]}),
+            (Deterministic, {"value": [0.2, 1.0, 3.5, 1e-12]}),
+            (Uniform, {"lower": [0.0, 0.5, 2.0, 0.0], "upper": [2.0, 1.25, 2.0 + 1e-9, 1e-12]}),
+        ],
+    )
+    def test_array_fields_are_each_law(self, cls, fields):
+        law = cls(**{name: np.array(values) for name, values in fields.items()})
+        laws = [cls(*point) for point in zip(*fields.values())]
+        for s in (0.0, 0.7, np.array([0.1, 1.5, 3.0, 1e6])):
+            grid = np.broadcast_to(s, (len(laws),)).tolist()
+            for name in ("laplace", "exp_weighted_mean"):
+                each = [float(getattr(one, name)(x)) for one, x in zip(laws, grid)]
+                assert getattr(law, name)(s).tolist() == each
+
+    def test_the_first_bad_field_value_is_named(self):
+        with pytest.raises(ParameterDomainError, match=r"^Uniform upper must exceed lower, got \[0.5, 0.4\]$"):
+            Uniform(0.5, np.array([1.0, 0.4, 0.3]))
+        with pytest.raises(ParameterDomainError, match=r"^Gamma scale must be > 0, got nan$"):
+            Gamma(2.0, np.array([1.0, np.nan, -1.0]))
+
+    def test_the_first_bad_argument_is_named(self):
+        with pytest.raises(ParameterDomainError, match=r"^Laplace argument -3.0 <= -rate -2.0$"):
+            Exponential(2.0).laplace(np.array([1.0, -3.0, -4.0]))
+        with pytest.raises(ParameterDomainError, match=r"^E\[e\^\(-sS\)\] at s=-1000.0 is outside the float range$"):
+            Uniform(0.0, 1.0).laplace(np.array([-1.0, -1000.0]))
 
 
 class TestSampling:
@@ -200,12 +244,15 @@ class TestConfigSpelling:
 
 
 def test_dem1_over_relative_error_against_50_digits():
-    # (e^{-x}(1 + x) - 1) / x^2 on a log grid of +-x from 1e-8 to 10; the
-    # closed form alone loses digits to cancellation for small |x|
+    # (e^{-x}(1 + x) - 1) / x^2 on a log grid of +-x from 1e-8 to 10, in one
+    # call on the array; the closed form alone loses digits to cancellation
+    # for small |x|
+    grid = [sign * 10.0 ** (-8 + k / 40) for k in range(361) for sign in (1.0, -1.0)]
+    values = _dem1_over(np.array(grid)).tolist()
     with localcontext() as ctx:
         ctx.prec = 50
-        for k in range(361):
-            for x in (10.0 ** (-8 + k / 40), -(10.0 ** (-8 + k / 40))):
-                d = Decimal(x)
-                ref = ((-d).exp() * (1 + d) - 1) / (d * d)
-                assert abs((Decimal(_dem1_over(x)) - ref) / ref) <= Decimal("1e-14"), x
+        for x, value in zip(grid, values):
+            d = Decimal(x)
+            ref = ((-d).exp() * (1 + d) - 1) / (d * d)
+            assert abs((Decimal(value) - ref) / ref) <= Decimal("1e-14"), x
+            assert value == _dem1_over(x), x

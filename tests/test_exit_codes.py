@@ -9,6 +9,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -228,3 +230,18 @@ def test_validate_with_a_mean_system_time_of_zero(tmp_path):
         assert main(["analyze", "-c", str(path)]) == 0
         assert main(["validate", "-c", str(path)]) == 3
     assert "domain error: clock A: only 0 of 200000 draws accepted" in err.getvalue()
+
+
+def test_a_closed_stdout_is_a_config_error():
+    # a p_star of 131,072 streams is about 3 MB of JSON, more than a pipe
+    # holds, so the command is still writing when its reader goes
+    argv = ["optimize", "--rate", "1", "--streams", "131072", "--service", "exponential", "--service-rate", "1"]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "aoi_mg11.cli", *argv, "--points", "3"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+    assert err == "config error: cannot write stdout: Broken pipe\n"
