@@ -74,7 +74,7 @@ class Exponential(ServiceDistribution):
     @np.errstate(all="ignore")
     def exp_weighted_mean(self, s):
         require(s > -self.rate, "argument {} <= -rate {}", s, -self.rate)
-        square = (self.rate + s) ** 2
+        square = np.square(self.rate + s)
         require((0.0 < square) & (square < np.inf), "E[S e^(-sS)] at s={} is outside the float range", s)
         return self.rate / square
 

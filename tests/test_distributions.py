@@ -156,6 +156,16 @@ class TestArrays:
                 each = [float(getattr(one, name)(x)) for one, x in zip(laws, grid)]
                 assert getattr(law, name)(s).tolist() == each
 
+    def test_exponential_squares_a_float_as_an_array(self):
+        # a float s is squared by numpy too: the C library's pow differs from
+        # it in the last bit of some values, and raises past the float range
+        law = Exponential(1.0)
+        grid = np.random.default_rng(3).uniform(0.0, 10.0, 10_000)
+        assert law.exp_weighted_mean(grid).tolist() == [float(law.exp_weighted_mean(s)) for s in grid.tolist()]
+        for s in (1e200, np.array([1.0, 1e200])):
+            with pytest.raises(ParameterDomainError, match=r"^E\[S e\^\(-sS\)\] at s=1e\+200 is outside the float range$"):
+                law.exp_weighted_mean(s)
+
     def test_the_first_bad_field_value_is_named(self):
         with pytest.raises(ParameterDomainError, match=r"^Uniform upper must exceed lower, got \[0.5, 0.4\]$"):
             Uniform(0.5, np.array([1.0, 0.4, 0.3]))

@@ -1,17 +1,22 @@
 """Golden sweep outputs: ``aoi sweep`` must write these bytes exactly.
 
-The files under ``tests/golden/`` were written by the numpy closed forms of
-the service laws, on a CPU where numpy dispatches its AVX-512 exp, expm1 and
-log1p; elsewhere numpy falls back to the C library's, which differ in the
-last bit of some values. A change that means to alter the sweep's bytes
+The last bit of some values depends on which exp, expm1 and log1p numpy runs:
+on a CPU with AVX-512 it dispatches kernels of its own, elsewhere it calls the
+C library's. So the sweeps run in a child process with numpy's AVX-512
+kernels switched off (``NPY_DISABLE_CPU_FEATURES``), which writes the same
+bytes on any x86-64 CPU. A change that means to alter the sweep's bytes
 rewrites them with ``PYTHONPATH=src python tests/test_golden.py`` and says
 why.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -80,6 +85,37 @@ def _sweep(tmp_path: Path, name: str, fmt: str) -> bytes:
     return out.read_bytes()
 
 
+def _write_sweeps(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(SWEEPS):
+            for fmt in ("csv", "json"):
+                (out / f"{name}.{fmt}").write_bytes(_sweep(Path(tmp), name, fmt))
+
+
+def _pinned_env() -> dict[str, str]:
+    """This environment, with numpy's AVX-512 kernels switched off and this
+    process's ``aoi_mg11`` first on the path."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    avx512 = [
+        f for f in umath.__cpu_dispatch__ if (f.startswith("AVX512") or f == "X86_V4") and umath.__cpu_features__.get(f)
+    ]
+    path = [str(Path(cli.__file__).parents[1])] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512), "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("AOI_SEED", None)
+    return env
+
+
+def _write_pinned(out: Path, rows: int | None = None) -> None:
+    """Write every golden sweep into ``out`` from a child process with numpy's
+    AVX-512 kernels off, ``rows`` rows to a block (default: the sweep's)."""
+    argv = [sys.executable, __file__, "--write", str(out)] + [str(rows)] * (rows is not None)
+    subprocess.run(argv, env=_pinned_env(), check=True)
+
+
 def _invalid(tmp_path: Path, param: str, grid: str) -> tuple[int, str]:
     """The exit code and stderr of a sweep that must fail."""
     config = _config(tmp_path, "uniform", "csv", tmp_path / "never.csv")
@@ -93,10 +129,23 @@ def no_env_seed(monkeypatch):
     monkeypatch.delenv("AOI_SEED", raising=False)
 
 
+@pytest.fixture(scope="module")
+def pinned(tmp_path_factory):
+    """The directory of every sweep at a block size, written once per size."""
+    root = tmp_path_factory.mktemp("pinned")
+
+    @functools.cache
+    def sweeps(rows: int | None) -> Path:
+        _write_pinned(root / f"rows_{rows}", rows)
+        return root / f"rows_{rows}"
+
+    return sweeps
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_bytes(tmp_path, name, fmt):
-    assert _sweep(tmp_path, name, fmt) == (GOLDEN / f"{name}.{fmt}").read_bytes()
+def test_sweep_bytes(pinned, name, fmt):
+    assert (pinned(None) / f"{name}.{fmt}").read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("param, grid, code", INVALID_GRIDS)
@@ -111,9 +160,8 @@ def test_invalid_grid(tmp_path, param, grid, code):
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_bytes_at_any_block_size(tmp_path, monkeypatch, rows, name, fmt):
-    monkeypatch.setattr(cli, "_SWEEP_ROWS", rows)
-    assert _sweep(tmp_path, name, fmt) == (GOLDEN / f"{name}.{fmt}").read_bytes()
+def test_sweep_bytes_at_any_block_size(pinned, rows, name, fmt):
+    assert (pinned(rows) / f"{name}.{fmt}").read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -126,13 +174,15 @@ def test_invalid_grid_at_any_block_size(tmp_path, monkeypatch, rows, param, grid
 
 
 if __name__ == "__main__":
-    import tempfile
-
+    # with no arguments, rewrite tests/golden/; `--write DIR [ROWS]` is the
+    # child that writes the sweeps into DIR
     os.environ.pop("AOI_SEED", None)
-    GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(SWEEPS):
-            for fmt in ("csv", "json"):
-                (GOLDEN / f"{name}.{fmt}").write_bytes(_sweep(Path(tmp), name, fmt))
-        messages = {f"{param} {grid}": _invalid(Path(tmp), param, grid)[1] for param, grid, _ in INVALID_GRIDS}
-    (GOLDEN / "invalid_grids.json").write_text(json.dumps(messages, indent=2) + "\n")
+    if sys.argv[1:2] == ["--write"]:
+        if len(sys.argv) > 3:
+            cli._SWEEP_ROWS = int(sys.argv[3])
+        _write_sweeps(Path(sys.argv[2]))
+    else:
+        _write_pinned(GOLDEN)
+        with tempfile.TemporaryDirectory() as tmp:
+            messages = {f"{param} {grid}": _invalid(Path(tmp), param, grid)[1] for param, grid, _ in INVALID_GRIDS}
+        (GOLDEN / "invalid_grids.json").write_text(json.dumps(messages, indent=2) + "\n")
