@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
@@ -85,15 +85,22 @@ def _atomic_file(path: str) -> Iterator:
 
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator:
-    """The command's output: path written atomically, or else stdout, written
-    when the with-block ends, so that a failed command writes nothing."""
+    """The command's output: path written atomically, or else a temp file
+    copied to stdout when the with-block ends, so that a failed command writes
+    nothing and the output is not held in memory. An OSError of the temp file
+    is a ConfigError."""
     if path:
         with _atomic_file(path) as fh:
             yield fh
-    else:
-        buffer = io.StringIO()
-        yield buffer
-        sys.stdout.write(buffer.getvalue())
+        return
+    with contextlib.ExitStack() as stack:
+        try:
+            fh = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"))
+            yield fh
+            fh.seek(0)
+        except OSError as exc:
+            raise ConfigError(f"cannot write stdout through a temp file: {exc.strerror or exc}") from exc
+        shutil.copyfileobj(fh, sys.stdout)
 
 
 # 10**k for k in [-22, 22]: exact for k >= 0, correctly rounded for k < 0.

@@ -12,12 +12,10 @@ sums.
 Arrivals come from one merged exponential(lam) gap stream. Whether an arrival
 is delivered does not depend on its stream, and stream labels are i.i.d. and
 independent of the arrival and service times, so only the delivered arrivals
-are labelled, in order. A label is drawn by competing per-stream exponential
-clocks, one RNG substream per stream, so that permuting stream labels together
-with their substreams permutes the results exactly. The event trace labels the
-undelivered arrivals from M further substreams of their own, so a traced run's
-statistics equal an untraced run's. The trace is handed on a chunk at a time,
-so it takes no more memory than the chunk.
+are labelled, in order, by one categorical draw from one RNG substream. The
+event trace labels the undelivered arrivals from a substream of its own, so a
+traced run's statistics equal an untraced run's. The trace is handed on a
+chunk at a time, so it takes no more memory than the chunk.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ class SimParams:
     warmup_fraction: float = 0.05
     replications: int = 1
     mgf_probes: tuple[float, ...] = ()
-    stream_substreams: tuple[int, ...] | None = None
 
     def __post_init__(self):
         has_time = self.max_time is not None
@@ -82,11 +79,6 @@ class SimParams:
             raise ParameterDomainError(f"replications must be >= 1, got {self.replications}")
         if any(s > 0 for s in self.mgf_probes):
             raise ParameterDomainError("empirical MGF probes must have s <= 0")
-        if self.stream_substreams is not None:
-            if sorted(self.stream_substreams) != list(range(self.cfg.num_streams)):
-                raise ParameterDomainError(
-                    "stream_substreams must be a permutation of 0..M-1"
-                )
 
 
 @dataclass
@@ -149,18 +141,9 @@ class SimResult:
     tallies: tuple[tuple[PerStreamTally, ...], ...] = field(repr=False, default=())
 
 
-def _labels(rngs: list[np.random.Generator], probs: tuple[float, ...], n: int) -> np.ndarray:
-    """Streams (0-based) of n arrivals, by competing exponential clocks with one
-    RNG per stream; a strict < keeps the lowest stream on ties."""
-    best = rngs[0].exponential(1.0, n)
-    best /= probs[0]
-    labels = np.zeros(n, dtype=np.min_scalar_type(len(rngs)))
-    for j in range(1, len(rngs)):
-        score = rngs[j].exponential(1.0, n)
-        score /= probs[j]
-        np.putmask(labels, score < best, j)
-        np.minimum(best, score, out=best)
-    return labels
+def _labels(rng: np.random.Generator, probs: tuple[float, ...], n: int) -> np.ndarray:
+    """Streams (0-based) of n arrivals, i.i.d. with the probabilities probs."""
+    return rng.choice(len(probs), n, p=probs).astype(np.min_scalar_type(len(probs)))
 
 
 # Arrivals simulated at a time. It sets the memory of a replication, whatever
@@ -207,7 +190,7 @@ def _sample_path(
 def _trace_block(
     sink: TraceSink,
     held: tuple[np.ndarray, ...],
-    rng_trace: list[np.random.Generator],
+    rng_trace: np.random.Generator,
     probs: tuple[float, ...],
     arr: np.ndarray,
     idx: np.ndarray,
@@ -252,18 +235,12 @@ def _simulate_replication(
     seed_seq: np.random.SeedSequence,
     warmup_fraction: float,
     probes: tuple[float, ...],
-    substreams: tuple[int, ...],
     sink: TraceSink | None = None,
 ) -> list[PerStreamTally]:
     m = cfg.num_streams
-    # the trace's substreams are spawned on every pass, so that a count-rule
-    # rerun draws from the same children whether or not it is traced
-    children = seed_seq.spawn(2 + 2 * m)
-    rng_arrivals = np.random.default_rng(children[0])
-    rng_service = np.random.default_rng(children[1])
-    rng_select = [np.random.default_rng(children[2 + substreams[j]]) for j in range(m)]
-    if sink is not None:
-        rng_trace = [np.random.default_rng(children[2 + m + substreams[j]]) for j in range(m)]
+    # four children on every pass, the trace's too, so that a count-rule
+    # rerun draws from the same ones whether or not it is traced
+    rng_arrivals, rng_service, rng_labels, rng_trace = map(np.random.default_rng, seed_seq.spawn(4))
 
     t_w = warmup_fraction * horizon
     tallies = [PerStreamTally(j + 1, horizon - t_w, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(m)]
@@ -283,7 +260,7 @@ def _simulate_replication(
         )
         first = 0
         d_arr = arr[idx]
-        d_label = _labels(rng_select, cfg.stream_probs, len(idx))
+        d_label = _labels(rng_labels, cfg.stream_probs, len(idx))
         for j in range(m):
             sel = np.flatnonzero(d_label == j)
             if not len(sel):
@@ -361,7 +338,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 def run(params: SimParams, trace: Callable[[], TraceSink] | None = None) -> SimResult:
     """Run all replications and aggregate per-stream estimates.
 
-    Replications use independently spawned RNG substreams; estimates are the
+    Replications use independently spawned seed sequences; estimates are the
     unweighted mean across replications with the replication-level standard
     error as half-width (0 when there is a single replication). Under the
     count stop rule every replication starts from the same horizon and, if
@@ -373,7 +350,6 @@ def run(params: SimParams, trace: Callable[[], TraceSink] | None = None) -> SimR
     """
     cfg = params.cfg
     reps = params.replications
-    substreams = params.stream_substreams or tuple(range(cfg.num_streams))
     root = np.random.SeedSequence(params.seed)
     rep_seeds = root.spawn(reps)
 
@@ -394,7 +370,6 @@ def run(params: SimParams, trace: Callable[[], TraceSink] | None = None) -> SimR
                 seed_seq,
                 params.warmup_fraction,
                 params.mgf_probes,
-                substreams,
                 trace() if trace is not None and r == 0 else None,
             )
             if params.max_time is not None:

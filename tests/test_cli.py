@@ -238,6 +238,11 @@ class TestSimulate:
         assert main(["validate", "-c", write_config(tmp_path, name="v.json", system=REF_SYSTEM)]) == 2
         assert capsys.readouterr().err == "AOI_SEED must be >= 0, got -1\n"
 
+    def test_non_integer_env_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("AOI_SEED", "x")
+        assert main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM)]) == 2
+        assert capsys.readouterr() == ("", "AOI_SEED must be an integer, got 'x'\n")
+
 
 def _system(**changes):
     return {**REF_SYSTEM, **changes}
@@ -271,6 +276,14 @@ CONFIG_VALUE_ERRORS = {
     "replications_bool": {"system": REF_SYSTEM, "simulation": {"max_time": 10.0, "replications": True}},
     "warmup_one": {"system": REF_SYSTEM, "simulation": {"max_time": 10.0, "warmup_fraction": 1.0}},
     "seed_string": {"system": REF_SYSTEM, "simulation": {"max_time": 10.0, "seed": "x"}},
+    "system_not_object": {"system": [REF_SYSTEM]},
+    "no_system": {"output": {}},
+    "no_service": {"system": {"total_rate": 1.5, "stream_probs": [1.0]}},
+    "probs_and_rates": {"system": _system(stream_rates=[1.5])},
+    "probs_without_total_rate": {"system": {"stream_probs": [1.0], "service": REF_SYSTEM["service"]}},
+    "output_format": {"system": REF_SYSTEM, "output": {"format": "xml"}},
+    "output_path_number": {"system": REF_SYSTEM, "output": {"path": 5}},
+    "trace_path_list": {"system": REF_SYSTEM, "output": {"trace_path": ["trace.csv"]}},
 }
 
 
@@ -279,6 +292,27 @@ def test_config_value_errors(tmp_path, capsys, sections):
     assert main(["analyze", "-c", write_config(tmp_path, **sections)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+# Config files that are not a JSON document: a missing file, bytes that are not
+# UTF-8, an integer literal past Python's digit limit, nesting past the recursion limit.
+CONFIG_FILE_ERRORS = {
+    "missing": None,
+    "not_utf8": b"\xff\xfe{}",
+    "long_integer": b'{"system": {"total_rate": 1' + b"0" * 5000 + b"}}",
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", CONFIG_FILE_ERRORS.values(), ids=CONFIG_FILE_ERRORS)
+def test_config_file_errors(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["analyze", "-c", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and str(path) in err
     assert "Traceback" not in err
 
 
@@ -422,13 +456,13 @@ def test_validate_gamma_of_small_shape(tmp_path, shape):
 
 
 def test_insufficient_data_exit_code(tmp_path, capsys):
-    # a horizon of 10 leaves stream 3 no interdeparture gap after warm-up to estimate its ages from
+    # a horizon of 10 leaves stream 2 no interdeparture gap after warm-up to estimate its ages from
     out = tmp_path / "out.csv"
     cfg = write_config(tmp_path, system=REF_SYSTEM, simulation={"max_time": 10, "seed": 7}, output={"path": str(out)})
     for command, *flags in (["simulate"], ["validate"], ["sweep", "--param", "total_rate", "--grid", "1.5", "--with-sim"]):
         assert main([command, "-c", cfg, *flags]) == 4
         err = capsys.readouterr().err
-        assert "data error: replication 1: stream 3 has no interdeparture gap after warm-up; raise max_time" in err
+        assert "data error: replication 1: stream 2 has no interdeparture gap after warm-up; raise max_time" in err
         assert not out.exists()
 
 
@@ -582,6 +616,35 @@ class TestSweep:
         cfg = write_config(tmp_path, system=REF_SYSTEM)
         assert main(["sweep", "-c", cfg, "--param", "shape", "--grid", "1,2"]) == 2
 
+    @pytest.mark.parametrize(
+        "system, param, grid, message",
+        [
+            (REF_SYSTEM, "p4", "0.5", "sweep parameter 'p4' does not name a stream probability"),
+            (REF_SYSTEM, "px", "0.5", "sweep parameter 'px' does not name a stream probability"),
+            (_system(stream_probs=[1.0]), "p1", "0.5", "sweeping a stream probability needs at least two streams"),
+            (REF_SYSTEM, "p1", "0.5,abc", "malformed grid '0.5,abc': could not convert string to float: 'abc'"),
+        ],
+        ids=["p_beyond_the_streams", "p_not_a_number", "p_of_one_stream", "grid_not_a_number"],
+    )
+    def test_flag_errors(self, tmp_path, capsys, system, param, grid, message):
+        cfg = write_config(tmp_path, system=system)
+        assert main(["sweep", "-c", cfg, "--param", param, "--grid", grid]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_with_sim_over_a_service_field(self, tmp_path):
+        # each simulated point runs the law with that point's field value
+        out = tmp_path / "sweep.json"
+        system = _system(service={"type": "uniform", "lower": 0.2, "upper": 1.0})
+        simulation = {"max_time": 2e3, "seed": 1, "replications": 2}
+        cfg = write_config(tmp_path, system=system, simulation=simulation, output={"format": "json", "path": str(out)})
+        assert main(["sweep", "-c", cfg, "--param", "upper", "--grid", "1,2.5", "--with-sim"]) == 0
+        rows = [r for r in json.loads(out.read_text())["rows"] if r["source"] == "simulated"]
+        assert [r["value"] for r in rows] == [1.0] * 3 + [2.5] * 3
+        for upper in (1.0, 2.5):
+            point = SystemConfig(1.5, (0.5, 0.3, 0.2), Uniform(0.2, upper))
+            expected = simulator.run(simulator.SimParams(point, **simulation)).streams
+            assert [r["avg_age"] for r in rows if r["value"] == upper] == [s.avg_age for s in expected]
+
     def test_with_sim_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = write_config(
@@ -728,6 +791,28 @@ class TestAtomicWrites:
             with cli._atomic_file(str(tmp_path / "report.csv")) as fh:
                 fh.write("a,b\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_sweep_to_stdout_prints_nothing(self, tmp_path, monkeypatch, capsys):
+        # a grid point per block: three blocks are written before the fourth fails
+        monkeypatch.setattr(cli, "_SWEEP_ROWS", 3)
+        cfg = write_config(tmp_path, system=REF_SYSTEM)
+        assert main(["sweep", "-c", cfg, "--param", "total_rate", "--grid", "0.5,1,2,-1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("domain error: ")
+
+    @pytest.mark.parametrize("fault", ["no_temp_directory", "full_disk"])
+    def test_stdout_temp_file_error_exits_2(self, tmp_path, monkeypatch, capsys, fault):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if fault == "no_temp_directory":
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        else:
+            monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: FullDisk())
+        assert main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM)]) == 2
+        strerror = os.strerror(errno.ENOENT if fault == "no_temp_directory" else errno.ENOSPC)
+        assert capsys.readouterr() == ("", f"config error: cannot write stdout through a temp file: {strerror}\n")
 
     @pytest.mark.parametrize(
         "command",

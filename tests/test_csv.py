@@ -1,6 +1,7 @@
 """The CSV writer: its '%.6g' kernel against '%' itself, and each CSV table
 against '%.6g' of the same command's JSON output."""
 
+import contextlib
 import json
 import math
 import tempfile
@@ -127,37 +128,43 @@ def test_csv_cells_are_the_json_values_at_any_load(law, log10_p, x, weights):
                 assert csv_text == csv_of_json(json_text)
 
 
-def _sweep_peaks(tmp_path, fmt: str, stream_probs: list[float]) -> tuple[int, int]:
-    """tracemalloc's peak of a sweep written as fmt, at 4,000 and at 40,000 grid points."""
+def _sweep_peaks(tmp_path, fmt: str, stream_probs: list[float], target: str) -> tuple[int, int]:
+    """tracemalloc's peak of a sweep written as fmt to target, a file or
+    stdout, at 4,000 and at 40,000 grid points. Stdout is a file here, so
+    that the peak is the command's alone."""
     system = {
         "total_rate": 1.0,
         "stream_probs": stream_probs,
         "service": {"type": "uniform", "lower": 0.2, "upper": 1.0},
     }
+    output = {"format": fmt, "path": str(tmp_path / f"sweep.{fmt}")} if target == "file" else {"format": fmt}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"system": system, "output": {"format": fmt, "path": str(tmp_path / f"sweep.{fmt}")}}))
+    cfg.write_text(json.dumps({"system": system, "output": output}))
     run_cfg = load_run_config(str(cfg))
 
     def peak(points: int) -> int:
         grid = [0.2 + 3.8 * k / points for k in range(points)]
-        tracemalloc.start()
-        try:
-            assert cli.cmd_sweep(run_cfg, "total_rate", grid, False, None) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with open(tmp_path / "stdout", "w") as stdout, contextlib.redirect_stdout(stdout):
+            tracemalloc.start()
+            try:
+                assert cli.cmd_sweep(run_cfg, "total_rate", grid, False, None) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     return peak(4_000), peak(40_000)
 
 
 def test_csv_sweep_memory_does_not_grow_with_the_grid(tmp_path):
-    small, large = _sweep_peaks(tmp_path, "csv", [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08])
-    assert large <= 2.0 * small
+    for target in ("file", "stdout"):
+        small, large = _sweep_peaks(tmp_path, "csv", [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08], target)
+        assert large <= 2.0 * small, target
 
 
 def test_json_sweep_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     # one stream, since json.dumps with an indent takes about 0.2 ms a row
     # under tracemalloc; blocks of 1,024 rows, so that both grids span whole blocks
     monkeypatch.setattr(cli, "_SWEEP_ROWS", 1 << 10)
-    small, large = _sweep_peaks(tmp_path, "json", [1.0])
-    assert large <= 2.0 * small
+    for target in ("file", "stdout"):
+        small, large = _sweep_peaks(tmp_path, "json", [1.0], target)
+        assert large <= 2.0 * small, target

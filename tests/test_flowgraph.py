@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from aoi_mg11.analytic import SystemConfig, interdeparture_mgf
-from aoi_mg11.distributions import Exponential
-from aoi_mg11.errors import DivergenceError, ParameterDomainError, SingularSystemError
+from aoi_mg11.distributions import Deterministic, Exponential
+from aoi_mg11.errors import DivergenceError, ParameterDomainError, PoleError, SingularSystemError
 from aoi_mg11.flowgraph import (
     Q0,
     Q1,
@@ -98,6 +98,15 @@ class TestTransferFunction:
             reduced = pr.u * w.d3 * pr.a * w.d1 / (1.0 - pr.b * w.d2)
             assert transfer_function(w, pr) == pytest.approx(reduced, rel=1e-12)
             assert reduced == pytest.approx(interdeparture_mgf(cfg, 1, s), rel=1e-12)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_pole_where_the_denominator_cancels(self, i):
+        # at s = 0 with P(lam) = e^-30 the denominator is the difference of two
+        # terms of order 1, about 1e-14 apart and mostly rounding: the route's
+        # documented limit
+        cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), Deterministic(20.0))
+        with pytest.raises(PoleError, match="denominator"):
+            transfer_function(edge_weights(cfg, 0.0), clock_probs(cfg, i))
 
 
 def _graph(edges, exits):
