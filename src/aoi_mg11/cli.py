@@ -16,7 +16,7 @@ import os
 import shutil
 import sys
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -302,14 +302,14 @@ def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str 
 _TRACE_ROWS = 1 << 12
 
 
-def _trace_writer(fh, num_streams: int) -> Callable[[], simulator.TraceSink]:
-    """simulator.run's trace factory for fh: each pass of the first replication
-    starts the file again, and its sink writes each block as CSV rows, times in
-    full repr. Formatting a float is the cost here; every generation time is an
-    arrival time, so the rows of a block share most of their times, and each
-    distinct time is formatted once."""
+def _trace_writer(fh, num_streams: int) -> simulator.TraceSink:
+    """simulator.run's trace sink for fh, after the header: it writes each
+    block as CSV rows, times in full repr. Formatting a float is the cost
+    here; every generation time is an arrival time, so the rows of a block
+    share most of their times, and each distinct time is formatted once."""
     # the ",kind,stream," middle of a row, by kind * (M + 1) + stream
     middle = [f",{name},{s}," for name in simulator.TRACE_KINDS for s in range(num_streams + 1)]
+    fh.write("time,kind,stream,generation_time\n")
 
     def write(block) -> None:
         for lo in range(0, len(block[0]), _TRACE_ROWS):
@@ -320,13 +320,7 @@ def _trace_writer(fh, num_streams: int) -> Callable[[], simulator.TraceSink]:
             rows = zip(at[: len(t)].tolist(), mid.tolist(), at[len(t) :].tolist())
             fh.write("".join([f"{text[i]}{middle[c]}{text[j]}\n" for i, c, j in rows]))
 
-    def start() -> simulator.TraceSink:
-        fh.seek(0)
-        fh.truncate()
-        fh.write("time,kind,stream,generation_time\n")
-        return write
-
-    return start
+    return write
 
 
 def _run_validation(run_cfg: RunConfig, seed_override: int | None):
@@ -439,17 +433,19 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None):
 
 def cmd_validate(run_cfg: RunConfig, seed_override: int | None) -> int:
     checks = _run_validation(run_cfg, seed_override)
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        print(
-            "%s %s: observed=%.6g expected=%.6g delta=%.6g tol=%.6g"
-            % (status, c["name"], c["observed"], c["expected"], c["delta"], c["tolerance"])
-        )
     n_fail = sum(1 for c in checks if not c["passed"])
-    print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-    if run_cfg.output.path:
-        with _atomic_file(run_cfg.output.path) as fh:
-            fh.write(json.dumps({"checks": checks}, indent=2) + "\n")
+    with _output(None) as fh:
+        for c in checks:
+            status = "PASS" if c["passed"] else "FAIL"
+            fh.write(
+                "%s %s: observed=%.6g expected=%.6g delta=%.6g tol=%.6g\n"
+                % (status, c["name"], c["observed"], c["expected"], c["delta"], c["tolerance"])
+            )
+        fh.write(f"{len(checks) - n_fail}/{len(checks)} checks passed\n")
+        # written before stdout, so that a report that cannot be written prints nothing
+        if run_cfg.output.path:
+            with _atomic_file(run_cfg.output.path) as report:
+                report.write(json.dumps({"checks": checks}, indent=2) + "\n")
     return EXIT_VALIDATION if n_fail else 0
 
 
@@ -490,7 +486,8 @@ def cmd_optimize(args) -> int:
             "max_violation": result.max_violation,
         },
     }
-    print(json.dumps(payload, indent=2))
+    with _output(None) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -632,11 +629,11 @@ def main(argv: list[str] | None = None) -> int:
         code = _command(args, seed_override)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
         return code
-    except BrokenPipeError as exc:
-        # the reader of stdout has gone: what is left of the output goes to
-        # devnull, so that the flush at exit has nothing more to fail on
+    except OSError as exc:
+        # stdout's, as every other file's is a ConfigError: the rest of the
+        # output goes to devnull, so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"config error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        print(f"config error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

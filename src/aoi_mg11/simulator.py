@@ -153,38 +153,27 @@ _CHUNK = 1 << 16
 
 def _sample_path(
     cfg: SystemConfig,
-    horizon: float,
+    size: int,
     carry: float,
     first: int,
     rng_arrivals: np.random.Generator,
     rng_service: np.random.Generator,
-    traced: bool,
 ):
     """One chunk of the sample path, as far as the tallies and the trace read it.
 
-    The chunk draws _CHUNK arrival gaps after carry, the arrival carried over
+    The chunk draws size arrival gaps after carry, the arrival carried over
     from the last chunk (or 0.0 with first = 1: the origin is no arrival), and
-    simulates the arrivals before its last one, up to the horizon. Returns, in
-    order: that last arrival, the next chunk's carry; whether the horizon ends
-    in this chunk; the arrival times; the indices of the delivered arrivals,
-    with their delivery and service times; and, if traced, the indices of the
-    preempted arrivals with the times of their preemption, or else None. The
-    chunk's other arrays are freed when it returns.
+    simulates the arrivals before its last one. Returns, in order: that last
+    arrival, the next chunk's carry; the arrival times; and the indices of the
+    delivered arrivals, with their delivery and service times. The chunk's
+    other arrays are freed when it returns.
     """
-    times = np.cumsum(np.concatenate(([carry], rng_arrivals.exponential(1.0 / cfg.total_rate, _CHUNK))))
-    arr, nxt = times[first:-1], times[first + 1 :]
-    n = int(np.searchsorted(arr, horizon, side="right"))
-    final = n < len(arr)
-    arr, nxt = arr[:n], nxt[:n]
-    services = np.asarray(cfg.service.sample(rng_service, n), dtype=float)
-
-    # delivered iff service completes before the next arrival (ties:
-    # delivered) and before the horizon ends
-    done = arr + services
-    beats_next = services <= (nxt - arr)
-    idx = np.flatnonzero(beats_next & (done <= horizon))
-    pre = np.flatnonzero(~beats_next & (nxt <= horizon)) if traced else None
-    return times[-1], final, arr, idx, done[idx], services[idx], None if pre is None else (pre, nxt[pre])
+    times = np.cumsum(np.concatenate(([carry], rng_arrivals.exponential(1.0 / cfg.total_rate, size))))
+    arr = times[first:-1]
+    services = np.asarray(cfg.service.sample(rng_service, len(arr)), dtype=float)
+    # delivered iff service completes before the next arrival (ties: delivered)
+    idx = np.flatnonzero(services <= np.diff(times[first:]))
+    return times[-1], arr, idx, arr[idx] + services[idx], services[idx]
 
 
 def _trace_block(
@@ -196,24 +185,25 @@ def _trace_block(
     idx: np.ndarray,
     d_label: np.ndarray,
     d_done: np.ndarray,
-    pre: np.ndarray,
-    preempted: np.ndarray,
-    carry: float | None,
+    carry: float,
+    horizon: float,
 ) -> tuple[np.ndarray, ...]:
     """Hand the sink a chunk's trace rows, after the rows held back from the
-    last chunk, sorted by time and kind up to the carried arrival (carry is
-    None in the final chunk); returns the rows from there on. The chunk's
-    undelivered arrivals draw their streams from rng_trace."""
+    last chunk, sorted by time and kind up to the carried arrival or, if that
+    lies past it, the horizon; returns the rows from the carried arrival on.
+    Each undelivered arrival is preempted by the next one, and draws its
+    stream from rng_trace."""
     n = len(arr)
     undelivered = np.ones(n, dtype=bool)
     undelivered[idx] = False
+    pre = np.flatnonzero(undelivered)
     labels = np.empty(n, dtype=d_label.dtype)
     labels[idx] = d_label
-    labels[undelivered] = _labels(rng_trace, probs, n - len(idx))
+    labels[pre] = _labels(rng_trace, probs, len(pre))
     labels += 1  # the trace counts streams from 1
     kinds = np.array((_ARRIVAL, _DELIVERY, _PREEMPTION), dtype=np.int8)
     block = [
-        np.concatenate((held[0], arr, d_done, preempted)),
+        np.concatenate((held[0], arr, d_done, np.append(arr[1:], carry)[pre])),
         np.concatenate((held[1], np.repeat(kinds, (n, len(idx), len(pre))))),
         np.concatenate((held[2], labels, labels[idx], labels[pre])),
         np.concatenate((held[3], arr, arr[idx], arr[pre])),
@@ -224,7 +214,10 @@ def _trace_block(
     # No later event comes before the carried arrival, so the block is final
     # up to its time; the rows from there on (a preemption by that arrival
     # sorts after it) open the next block, copied so as not to pin this one.
-    cut = len(order) if carry is None else int(np.searchsorted(block[0], carry))
+    if carry > horizon:
+        sink(tuple(column[: np.searchsorted(block[0], horizon, side="right")] for column in block))
+        return ()
+    cut = int(np.searchsorted(block[0], carry))
     sink(tuple(column[:cut] for column in block))
     return tuple(column[cut:].copy() for column in block)
 
@@ -235,15 +228,18 @@ def _simulate_replication(
     seed_seq: np.random.SeedSequence,
     warmup_fraction: float,
     probes: tuple[float, ...],
-    sink: TraceSink | None = None,
-) -> list[PerStreamTally]:
+    min_deliveries: int | None,
+    sink: TraceSink | None,
+) -> tuple[list[PerStreamTally], float]:
+    """One replication on one sample path: its tallies and its horizon. With
+    min_deliveries, the horizon is multiplied by 1.6 on the same path until
+    every stream has that many deliveries and an interdeparture gap after the
+    warm-up, which stays warmup_fraction of the first horizon."""
     m = cfg.num_streams
-    # four children on every pass, the trace's too, so that a count-rule
-    # rerun draws from the same ones whether or not it is traced
     rng_arrivals, rng_service, rng_labels, rng_trace = map(np.random.default_rng, seed_seq.spawn(4))
 
     t_w = warmup_fraction * horizon
-    tallies = [PerStreamTally(j + 1, horizon - t_w, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(m)]
+    tallies = [PerStreamTally(j + 1, 0.0, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(m)]
     # each stream's last delivery (time, generation time); a virtual delivery
     # at the origin starts the age at 0, but opens no interdeparture gap
     last = [(0.0, 0.0)] * m
@@ -253,62 +249,78 @@ def _simulate_replication(
 
     # Each chunk simulates the arrivals before its last one, which is carried
     # into the next chunk as the look-ahead that decides the final delivery.
+    # A horizon that expects fewer arrivals than _CHUNK takes chunks of those
+    # and 10 standard deviations more, so it almost surely takes one.
+    expected = cfg.total_rate * horizon
+    size = int(min(_CHUNK, expected + 10.0 * math.sqrt(expected) + 100))
     carry, first = 0.0, 1  # the first chunk has no carried arrival
     while True:
-        carry, final, arr, idx, d_done, d_services, pre = _sample_path(
-            cfg, horizon, carry, first, rng_arrivals, rng_service, sink is not None
-        )
+        carry, arr, idx, d_done, d_services = _sample_path(cfg, size, carry, first, rng_arrivals, rng_service)
         first = 0
         d_arr = arr[idx]
         d_label = _labels(rng_labels, cfg.stream_probs, len(idx))
-        for j in range(m):
-            sel = np.flatnonzero(d_label == j)
-            if not len(sel):
-                continue
-            t_d, gen, svc = d_done[sel], d_arr[sel], d_services[sel]
-            prev_td = np.concatenate(([last[j][0]], t_d[:-1]))
-            prev_gen = np.concatenate(([last[j][1]], gen[:-1]))
-            has_pred = delivered_before[j]
-            last[j], delivered_before[j] = (float(t_d[-1]), float(gen[-1])), True
-
-            # delivery times increase, so the post-warm-up ones are a suffix
-            k = int(np.searchsorted(t_d, t_w))
-            if k == len(t_d):
-                continue
-            t_d, prev_td, prev_gen, svc = t_d[k:], prev_td[k:], prev_gen[k:], svc[k:]
-            t = tallies[j]
-            # exact sawtooth area; segments straddling the warm-up boundary
-            # are clipped at t_w
-            x0 = np.maximum(prev_td, t_w)
-            width = t_d - x0
-            t.age_area += float(np.sum(width * (x0 - prev_gen) + 0.5 * width * width))
-            t.deliveries += len(t_d)
-            t.t_sum += float(svc.sum())
-
-            # Y and peaks only between consecutive real deliveries
-            if k == 0 and not has_pred:
-                t_d, prev_td, prev_gen = t_d[1:], prev_td[1:], prev_gen[1:]
-            ys = t_d - prev_td
-            t.peaks_sum += float(np.sum(t_d - prev_gen))
-            t.peaks_count += len(ys)
-            t.y_sum += float(ys.sum())
-            t.y2_sum += float(np.sum(ys * ys))
-            for s, total in t.mgf_sums.items():
-                t.mgf_sums[s] = total + float(np.exp(s * ys).sum())
-
+        # the chunk's deliveries up to the horizon, in slices: past the
+        # carried arrival, a short replication extends its horizon and goes on
+        lo = 0
+        while True:
+            hi = int(np.searchsorted(d_done, horizon, side="right"))
+            _tally(tallies, last, delivered_before, t_w, d_done[lo:hi], d_arr[lo:hi], d_services[lo:hi], d_label[lo:hi])
+            lo = hi
+            if carry <= horizon or min_deliveries is None or all(
+                t.peaks_count and t.deliveries >= min_deliveries for t in tallies
+            ):
+                break
+            horizon *= 1.6
         if sink is not None:
-            held = _trace_block(
-                sink, held, rng_trace, cfg.stream_probs, arr, idx, d_label, d_done, *pre, None if final else carry
-            )
-        if final:
+            held = _trace_block(sink, held, rng_trace, cfg.stream_probs, arr, idx, d_label, d_done, carry, horizon)
+        if carry > horizon:
             break
 
     for t, (last_td, last_gen) in zip(tallies, last):
+        t.elapsed = horizon - t_w
         tail0 = max(last_td, t_w)
         tail_w = horizon - tail0
         if tail_w > 0:
             t.age_area += tail_w * (tail0 - last_gen) + 0.5 * tail_w * tail_w
-    return tallies
+    return tallies, horizon
+
+
+def _tally(tallies, last, delivered_before, t_w, d_done, d_arr, d_services, d_label) -> None:
+    """Add deliveries, in time order, to the running sums of their streams;
+    the arrays of each stream are freed on return."""
+    for j, t in enumerate(tallies):
+        sel = np.flatnonzero(d_label == j)
+        if not len(sel):
+            continue
+        t_d, gen, svc = d_done[sel], d_arr[sel], d_services[sel]
+        prev_td = np.concatenate(([last[j][0]], t_d[:-1]))
+        prev_gen = np.concatenate(([last[j][1]], gen[:-1]))
+        has_pred = delivered_before[j]
+        last[j], delivered_before[j] = (float(t_d[-1]), float(gen[-1])), True
+
+        # delivery times increase, so the post-warm-up ones are a suffix
+        k = int(np.searchsorted(t_d, t_w))
+        if k == len(t_d):
+            continue
+        t_d, prev_td, prev_gen, svc = t_d[k:], prev_td[k:], prev_gen[k:], svc[k:]
+        # exact sawtooth area; segments straddling the warm-up boundary
+        # are clipped at t_w
+        x0 = np.maximum(prev_td, t_w)
+        width = t_d - x0
+        t.age_area += float(np.sum(width * (x0 - prev_gen) + 0.5 * width * width))
+        t.deliveries += len(t_d)
+        t.t_sum += float(svc.sum())
+
+        # Y and peaks only between consecutive real deliveries
+        if k == 0 and not has_pred:
+            t_d, prev_td, prev_gen = t_d[1:], prev_td[1:], prev_gen[1:]
+        ys = t_d - prev_td
+        t.peaks_sum += float(np.sum(t_d - prev_gen))
+        t.peaks_count += len(ys)
+        t.y_sum += float(ys.sum())
+        t.y2_sum += float(np.sum(ys * ys))
+        for s, total in t.mgf_sums.items():
+            t.mgf_sums[s] = total + float(np.exp(s * ys).sum())
 
 
 def _horizon_for_count(cfg: SystemConfig, n_deliveries: int, warmup_fraction: float) -> float:
@@ -335,24 +347,20 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(vals.mean()), se
 
 
-def run(params: SimParams, trace: Callable[[], TraceSink] | None = None) -> SimResult:
+def run(params: SimParams, trace: TraceSink | None = None) -> SimResult:
     """Run all replications and aggregate per-stream estimates.
 
     Replications use independently spawned seed sequences; estimates are the
     unweighted mean across replications with the replication-level standard
     error as half-width (0 when there is a single replication). Under the
-    count stop rule every replication starts from the same horizon and, if
-    short of deliveries or of interdeparture gaps, is rerun on a 1.6 times
-    longer one; under the time rule a stream with no interdeparture gap after
-    warm-up raises InsufficientDataError. The event trace of the first
-    replication goes to the sink that ``trace()`` returns, a block per chunk;
-    ``trace`` is called once per pass, so a count-rule rerun starts it again.
+    count stop rule every replication starts from the same horizon and, while
+    short of deliveries or of interdeparture gaps, extends it 1.6 times on the
+    same sample path; under the time rule a stream with no interdeparture gap
+    after warm-up raises InsufficientDataError. The event trace of the first
+    replication goes to the sink ``trace``, a block per chunk.
     """
     cfg = params.cfg
     reps = params.replications
-    root = np.random.SeedSequence(params.seed)
-    rep_seeds = root.spawn(reps)
-
     if params.max_time is not None:
         start = float(params.max_time)
     else:
@@ -360,29 +368,22 @@ def run(params: SimParams, trace: Callable[[], TraceSink] | None = None) -> SimR
 
     all_tallies: list[tuple[PerStreamTally, ...]] = []
     horizons: list[float] = []
-    for r in range(reps):
-        seed_seq = rep_seeds[r]
-        horizon = start
-        while True:
-            tallies = _simulate_replication(
-                cfg,
-                horizon,
-                seed_seq,
-                params.warmup_fraction,
-                params.mgf_probes,
-                trace() if trace is not None and r == 0 else None,
+    for r, seed_seq in enumerate(np.random.SeedSequence(params.seed).spawn(reps)):
+        tallies, horizon = _simulate_replication(
+            cfg,
+            start,
+            seed_seq,
+            params.warmup_fraction,
+            params.mgf_probes,
+            params.min_deliveries_per_stream,
+            trace if r == 0 else None,
+        )
+        gapless = [t.stream for t in tallies if not t.peaks_count]
+        if gapless:
+            raise InsufficientDataError(
+                f"replication {r + 1}: stream {gapless[0]} has no interdeparture gap "
+                f"after warm-up; raise max_time"
             )
-            if params.max_time is not None:
-                gapless = [t.stream for t in tallies if not t.peaks_count]
-                if gapless:
-                    raise InsufficientDataError(
-                        f"replication {r + 1}: stream {gapless[0]} has no interdeparture gap "
-                        f"after warm-up; raise max_time"
-                    )
-                break
-            if all(t.peaks_count and t.deliveries >= params.min_deliveries_per_stream for t in tallies):
-                break
-            horizon *= 1.6
         all_tallies.append(tuple(tallies))
         horizons.append(horizon)
 

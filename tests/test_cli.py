@@ -193,11 +193,11 @@ class TestSimulate:
         # row must read as if each value were printed on its own
         cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), Exponential(1.0))
         out, blocks = io.StringIO(), []
-        start = cli._trace_writer(out, cfg.num_streams)
+        write = cli._trace_writer(out, cfg.num_streams)
 
-        def trace():
-            write = start()
-            return lambda block: (blocks.append(block), write(block))
+        def trace(block):
+            blocks.append(block)
+            write(block)
 
         monkeypatch.setattr(simulator, "_CHUNK", 500)
         monkeypatch.setattr(cli, "_TRACE_ROWS", 3)
@@ -837,7 +837,8 @@ class TestAtomicWrites:
         simulation = {} if command[0] == "validate" else {"simulation": {"max_time": 2e4, "seed": 1}}
         cfg = write_config(tmp_path, system=REF_SYSTEM, output={"path": out}, **simulation)
         assert main([command[0], "-c", cfg, *command[1:]]) == 2
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
+        assert printed == ""  # validate's checks included
         failed = command[-1] if "--trace" in command else out
         assert f"config error: cannot write {failed}: No space left on device" in err
         assert "Traceback" not in err

@@ -245,3 +245,28 @@ def test_a_closed_stdout_is_a_config_error():
         err = proc.stderr.read().decode()
         assert proc.wait() == 2
     assert err == "config error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "-c", "{config}"],
+        ["sweep", "-c", "{config}", "--param", "p1", "--grid", "0.2,0.5"],
+        ["optimize", "--rate", "1.5", "--streams", "3", "--service", "exponential", "--service-rate", "1"],
+        ["validate", "-c", "{config}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_full_stdout_is_a_config_error(tmp_path, argv):
+    system = {"total_rate": 1.5, "stream_probs": [0.5, 0.3, 0.2], "service": {"type": "exponential", "rate": 1.0}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"system": system}))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "aoi_mg11.cli", *(a.format(config=config) for a in argv)]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err == "config error: cannot write stdout: No space left on device\n"

@@ -114,22 +114,18 @@ class TestDeterminismAndSymmetry:
 
 def traced_run(params: SimParams):
     """run with the trace of its first replication collected through the sink:
-    the result, and the last pass's blocks joined into four columns."""
-    passes = []
-
-    def trace():
-        passes.append([])
-        return passes[-1].append
-
-    result = run(params, trace)
-    return result, tuple(np.concatenate(column) for column in zip(*passes[-1]))
+    the result, and the blocks joined into four columns."""
+    blocks = []
+    result = run(params, blocks.append)
+    return result, tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def reference_trace(params: SimParams):
     """The first replication's event trace (time rule), simulated in one piece
     and sorted by one lexsort: the brute-force reference for the streamed
-    blocks. The draws come in the same order whatever the chunk size, so the
-    sample path is the chunked one."""
+    blocks, with the number of arrivals that beat the next one but are
+    delivered after the horizon. The draws come in the same order whatever
+    the chunk size, so the sample path is the chunked one."""
     cfg, m, horizon = params.cfg, params.cfg.num_streams, params.max_time
     # a replication's children: arrivals, services, labels, the trace's labels
     children = np.random.SeedSequence(params.seed).spawn(params.replications)[0].spawn(4)
@@ -140,12 +136,13 @@ def reference_trace(params: SimParams):
     arr, nxt = times[:n], times[1 : n + 1]
     services = cfg.service.sample(np.random.default_rng(children[1]), n)
     done = arr + services
+    # an arrival that beats the next one is delivered, and labelled from the
+    # statistics' substream, even when its delivery falls after the horizon
     beats_next = services <= nxt - arr
-    delivered = beats_next & (done <= horizon)
-    idx = np.flatnonzero(delivered)
     labels = np.empty(n, dtype=int)
-    labels[idx] = np.random.default_rng(children[2]).choice(m, len(idx), p=cfg.stream_probs)
-    labels[~delivered] = np.random.default_rng(children[3]).choice(m, n - len(idx), p=cfg.stream_probs)
+    labels[beats_next] = np.random.default_rng(children[2]).choice(m, np.count_nonzero(beats_next), p=cfg.stream_probs)
+    labels[~beats_next] = np.random.default_rng(children[3]).choice(m, np.count_nonzero(~beats_next), p=cfg.stream_probs)
+    idx = np.flatnonzero(beats_next & (done <= horizon))
     pre = np.flatnonzero(~beats_next & (nxt <= horizon))
     kind = {name: code for code, name in enumerate(simulator.TRACE_KINDS)}
     columns = (
@@ -155,7 +152,8 @@ def reference_trace(params: SimParams):
         np.concatenate((arr, arr[idx], arr[pre])),
     )
     order = np.lexsort((columns[1], columns[0]))
-    return tuple(column[order] for column in columns)
+    straddling = np.count_nonzero(beats_next & (done > horizon))
+    return tuple(column[order] for column in columns), straddling
 
 
 def trace_csv(columns) -> str:
@@ -181,7 +179,7 @@ class TestDeliveredOnlyLabels:
     def test_trace_does_not_change_the_statistics(self, rule, horizons):
         # the time rule spans three chunks, so a later chunk's labels would show
         # any draw the trace took from the statistics' substream; under the
-        # count rule, replication 0 is rerun
+        # count rule, replication 0 extends its horizon
         params = SimParams(REF, mgf_probes=(-0.5, -1.0), **rule)
         plain, (traced, trace) = run(params), traced_run(params)
         assert len(trace[0]) > 0
@@ -200,7 +198,7 @@ class TestDeliveredOnlyLabels:
 
 class TestLabelLaw:
     """A replication's labels: one categorical draw per delivered arrival, from
-    one of four children that every pass spawns."""
+    one of four children that every replication spawns once."""
 
     PROBS = (0.4, 0.25, 0.15, 0.1, 0.06, 0.03, 0.01)
 
@@ -225,10 +223,15 @@ class TestLabelLaw:
     @pytest.mark.parametrize("m", [1, 3, 7])
     @pytest.mark.parametrize("traced", [False, True])
     def test_every_pass_spawns_four_children(self, m, traced):
+        # a replication is one pass, whether it keeps its horizon of 50 or
+        # extends it on the same path until each stream has 50 deliveries
         cfg = SystemConfig(1.5, (1.0 / m,) * m, Exponential(1.0))
-        seed_seq = np.random.SeedSequence(3)
-        simulator._simulate_replication(cfg, 50.0, seed_seq, 0.0, (), (lambda block: None) if traced else None)
-        assert seed_seq.n_children_spawned == 4
+        sink = (lambda block: None) if traced else None
+        for min_deliveries, extends in ((None, False), (50, True)):
+            seed_seq = np.random.SeedSequence(3)
+            _, horizon = simulator._simulate_replication(cfg, 50.0, seed_seq, 0.0, (), min_deliveries, sink)
+            assert (horizon > 50.0) == extends
+            assert seed_seq.n_children_spawned == 4
 
 
 class TestStopRules:
@@ -246,33 +249,39 @@ class TestStopRules:
         )
         res = run(params)
         assert res.horizons == (104.0, 65.0, 65.0, 65.0)
-        for tallies in res.tallies:
+        for tallies, horizon in zip(res.tallies, res.horizons):
             assert all(t.deliveries >= 3 for t in tallies)
+            # the warm-up is a fraction of the first horizon, whatever the last
+            assert all(t.elapsed == horizon - 0.5 * 65.0 for t in tallies)
 
-    @pytest.mark.parametrize("seed, warmup_fraction", [(1, 0.5), (9, 0.0)])
-    def test_traced_rerun_writes_the_final_pass_only(self, tmp_path, capsys, seed, warmup_fraction):
-        # replication 0 runs on the starting horizon, then again on a 1.6 times
-        # longer one: its trace must hold the second pass alone
-        simulation = {"min_deliveries_per_stream": 3, "seed": seed, "replications": 4}
-        simulation["warmup_fraction"] = warmup_fraction
+    @pytest.mark.parametrize("chunk", [None, 16], ids=["default", "16"])
+    @pytest.mark.parametrize("seed", [9, 16, 19, 22])
+    def test_count_rule_continues_the_sample_path(self, tmp_path, monkeypatch, seed, chunk):
+        # replication 0 extends its horizon on the path it has simulated, so
+        # it is the time rule's replication on its final horizon; chunks of
+        # 16 arrivals put extensions across chunk edges
+        if chunk is not None:
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
         system = {"total_rate": 1.5, "stream_probs": [0.5, 0.3, 0.2], "service": REF.service.to_config()}
-        config, trace = tmp_path / "rerun.json", tmp_path / "trace.csv"
-        config.write_text(json.dumps({"system": system, "simulation": simulation}))
-        assert cli.main(["simulate", "-c", str(config)]) == 0
-        plain = capsys.readouterr().out
-        assert cli.main(["simulate", "-c", str(config), "--trace", str(trace)]) == 0
-        assert capsys.readouterr().out == plain
+        count = {"min_deliveries_per_stream": 3, "seed": seed, "warmup_fraction": 0.0}
+        extended = run(SimParams(REF, mgf_probes=(-0.5,), **count))
+        assert extended.horizons[0] > 32.5  # the first horizon, 1.3 * 3 * E[Y_3]
+        timed = {"max_time": extended.horizons[0], "seed": seed, "warmup_fraction": 0.0}
+        plain = run(SimParams(REF, mgf_probes=(-0.5,), **timed))
 
-        res = run(SimParams(REF, **simulation))
-        assert res.horizons[0] == 1.6 * res.horizons[1]
-        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
-        times = [float(r[0]) for r in rows]
-        assert times == sorted(times) and times[-1] <= res.horizons[0]
-        # the tallies count the deliveries from the end of the warm-up on
-        t_w = warmup_fraction * res.horizons[0]
-        delivered = [r[2] for r in rows if r[1] == "delivery" and float(r[0]) >= t_w]
-        for t in res.tallies[0]:
-            assert delivered.count(str(t.stream)) == t.deliveries
+        traces = []
+        for name, simulation in (("count", count), ("time", timed)):
+            config, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.trace.csv"
+            config.write_text(json.dumps({"system": system, "simulation": simulation}))
+            assert cli.main(["simulate", "-c", str(config), "--trace", str(trace)]) == 0
+            traces.append(trace.read_bytes())
+        assert traces[0] == traces[1]
+        # the final chunk is tallied in two slices, so sums may differ in the last bits
+        for a, b in zip(extended.tallies[0], plain.tallies[0]):
+            assert (a.deliveries, a.peaks_count) == (b.deliveries, b.peaks_count)
+            for name in SUM_FIELDS:
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0.0)
+            assert a.mgf_sums[-0.5] == pytest.approx(b.mgf_sums[-0.5], rel=1e-12, abs=0.0)
 
     def test_param_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -333,12 +342,19 @@ class TestChunkedReplication:
                     assert b.mgf_sums[s] == pytest.approx(a.mgf_sums[s], rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize(
-        "chunk, max_time, service",
-        [(3, 2e3, Exponential(1.0)), (777, 3e4, Gamma(2.0, 0.5)), (None, 1e5, Exponential(1.0))],
-        ids=["3", "777", "default"],
+        "chunk, max_time, service, seed",
+        [
+            (3, 2e3, Exponential(1.0), 6),
+            (777, 3e4, Gamma(2.0, 0.5), 6),
+            (None, 1e5, Exponential(1.0), 6),
+            (None, 2e4, Exponential(1.0), 2),
+        ],
+        ids=["3", "777", "default", "straddling"],
     )
-    def test_streamed_trace_matches_the_sorted_reference(self, tmp_path, monkeypatch, chunk, max_time, service):
-        # small chunks put many held-back preemptions at chunk edges
+    def test_streamed_trace_matches_the_sorted_reference(self, tmp_path, monkeypatch, chunk, max_time, service, seed):
+        # small chunks put many held-back preemptions at chunk edges; at seed
+        # 2 the last arrival is delivered past the horizon, so its stream
+        # comes from the statistics' substream
         if chunk is not None:
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
         system = {"total_rate": 1.5, "stream_probs": [0.5, 0.3, 0.2], "service": service.to_config()}
@@ -347,15 +363,16 @@ class TestChunkedReplication:
             json.dumps(
                 {
                     "system": system,
-                    "simulation": {"max_time": max_time, "seed": 6, "replications": 2},
+                    "simulation": {"max_time": max_time, "seed": seed, "replications": 2},
                     "output": {"path": str(tmp_path / "sim.csv")},
                 }
             )
         )
         assert cli.main(["simulate", "-c", str(config), "--trace", str(trace)]) == 0
         cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), service)
-        expected = trace_csv(reference_trace(SimParams(cfg, max_time=max_time, seed=6, replications=2)))
-        assert trace.read_text() == expected
+        columns, straddling = reference_trace(SimParams(cfg, max_time=max_time, seed=seed, replications=2))
+        assert straddling == (seed == 2)
+        assert trace.read_text() == trace_csv(columns)
 
     def test_memory_does_not_grow_with_horizon(self):
         def peak(max_time, trace=None):
@@ -368,7 +385,7 @@ class TestChunkedReplication:
 
         assert peak(2e6) <= 2.0 * peak(2e5)
         # the trace is handed to its sink a chunk at a time, and not kept
-        drop = lambda: lambda block: None  # noqa: E731
+        drop = lambda block: None  # noqa: E731
         assert peak(2e6, drop) <= 2.0 * peak(2e5, drop)
 
 
