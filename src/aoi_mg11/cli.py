@@ -107,6 +107,43 @@ def _output(path: str | None) -> Iterator:
 _POW10 = np.array([10.0**k if k >= 0 else 1.0 / 10.0**-k for k in range(-22, 23)])
 # The decimal exponents that _g6 writes itself: |v| is scaled by 10**(5 - e) from the table.
 _E_MIN, _E_MAX = -17, 27
+# the digits of 0 to 9999 in ASCII, four a row
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
+def _layout(x, ok, digits, shown, point, e, scientific, text) -> np.ndarray:
+    """The cells of the floats x, as a uint8 matrix of (character position,
+    value) in which NULs pad each value's column. Each is laid out in slots:
+    the sign; the "0." and up to three zeros of a number from 1e-4 to 1
+    written in full; its ASCII digits (digit, value), of which the first
+    `shown` are written, each with a slot for the point, written after digit
+    `point`; and, if scientific, the exponent e. A cell that is not ok is
+    text(v) instead."""
+    width = len(digits)
+    chars = np.empty((11 + 2 * width, len(x)), np.uint8)
+    lead = (-4 <= e) & (e < 0)
+    chars[0] = (x < 0) * np.uint8(ord("-"))
+    chars[1] = lead * np.uint8(ord("0"))
+    chars[2] = lead * np.uint8(ord("."))
+    chars[3:6] = (lead & (e <= -np.arange(2, 5)[:, None])) * np.uint8(ord("0"))
+    slot = np.arange(width)[:, None]
+    chars[6 : 6 + 2 * width : 2] = digits * (slot < shown)
+    chars[7 : 6 + 2 * width : 2] = (slot == point) * np.uint8(ord("."))
+    ones = np.abs(e)
+    tens = ones // 10
+    hundreds = tens // 10
+    ones -= 10 * tens
+    tens -= 10 * hundreds
+    chars[-5] = scientific * np.uint8(ord("e"))
+    chars[-4] = np.where(e < 0, ord("-"), ord("+")) * scientific
+    chars[-3] = (hundreds + ord("0")) * (scientific & (hundreds > 0))
+    chars[-2] = (tens + ord("0")) * scientific
+    chars[-1] = (ones + ord("0")) * scientific
+    for i in np.flatnonzero(~ok).tolist():
+        cell = text(x[i].item()).encode()
+        chars[:, i] = 0
+        chars[: len(cell), i] = np.frombuffer(cell, np.uint8)
+    return chars
 
 
 def _g6(x: np.ndarray) -> np.ndarray:
@@ -114,11 +151,8 @@ def _g6(x: np.ndarray) -> np.ndarray:
     (character position, value) in which NULs pad each value's column.
 
     |v| = s * 10**(e - 5) with s in [1e5, 1e6) is rounded to the six digits
-    rint(s), laid out in 21 slots: the sign; the "0." and up to three zeros of
-    a fixed-point number below 1; the six digits, with a slot for the point
-    after each of the first five; and the exponent of the scientific form. A
-    slot that the value does not use is NUL: the trailing zeros, a point they
-    leave last, and every slot of the other layout.
+    rint(s) and laid out by _layout: without the trailing zeros, and without
+    a point they leave last.
 
     s is one multiply from |v|, off the exact product by at most 2.3e-10 (two
     roundings of 2**-53 relative), so rint(s) rounds as '%' does unless s lies
@@ -152,72 +186,200 @@ def _g6(x: np.ndarray) -> np.ndarray:
         digits[i] = n - 10 * q
         n = q
     digits[0] = n
-    # more[i]: a nonzero digit at index i or beyond, so digit i is no trailing zero
-    more = [None] * 6
-    more[5] = digits[5] != 0
+    # the digits up to the last nonzero one: 1 + those after the first that a nonzero one follows
+    more = digits[5] != 0
+    significant = 1 + more.astype(np.int16)
     for i in range(4, 0, -1):
-        more[i] = more[i + 1] | (digits[i] != 0)
+        more |= digits[i] != 0
+        significant += more
     digits += ord("0")
-    fixed = (-4 <= e) & (e < 6)
-    lead = fixed & (e < 0)
-    point = np.where(fixed, e, 0)  # the point follows digit `point`, or "0." when below 0
-    sci = ~fixed
-    chars = np.zeros((21, len(x)), np.uint8)
-    chars[0] = np.where(x < 0, ord("-"), 0)
-    chars[1] = lead * np.uint8(ord("0"))
-    chars[2] = lead * np.uint8(ord("."))
-    for k in range(3):
-        chars[3 + k] = (e <= -2 - k) * lead * np.uint8(ord("0"))
-    chars[6] = digits[0]
-    for i in range(1, 6):
-        chars[5 + 2 * i] = ((point == i - 1) & more[i]) * np.uint8(ord("."))
-        chars[6 + 2 * i] = digits[i] * (more[i] | (point >= i))
-    chars[17] = sci * np.uint8(ord("e"))
-    chars[18] = np.where(e < 0, ord("-"), ord("+")) * sci
-    chars[19] = (abs(e) // 10 + ord("0")) * sci
-    chars[20] = (abs(e) % 10 + ord("0")) * sci
-    for i in np.flatnonzero(~ok).tolist():
-        text = ("%.6g" % x[i]).encode()
-        chars[:, i] = 0
-        chars[: len(text), i] = np.frombuffer(text, np.uint8)
-    return chars
+    e = e.astype(np.int16)
+    whole = (0 <= e) & (e < 6)  # the integer part is written in full
+    scientific = (e < -4) | (e >= 6)
+    shown = np.where(whole, np.maximum(significant, e + 1), significant)
+    point = np.where(whole, np.where(significant > e + 1, e, -1), np.where(scientific & (significant > 1), 0, -1))
+    return _layout(x, ok, digits, shown, point, e, scientific, lambda v: "%.6g" % v)
 
 
-def _text_cells(a: np.ndarray) -> np.ndarray:
-    """str(v) of each value in a, as a NUL-padded uint8 matrix of (character
-    position, value); each distinct value is formatted once."""
+def _power_of_ten_table() -> tuple[np.ndarray, ...]:
+    """10**k = (hi + lo) * 2**j for k in [_K_MIN, _K_MAX], with hi + lo in [1, 2)
+    the 106-bit truncation of 10**k / 2**j: hi of its first 53 bits, lo of
+    the rest; exact for k in [0, 22], where 10**k / 2**j is 5**k / 2**(j - k)."""
+    hi, lo, j = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            p = 10**k
+            b = p.bit_length()
+            t = p << (106 - b) if b <= 106 else p >> (b - 106)
+            j.append(b - 1)
+        else:
+            d = 10**-k
+            b = d.bit_length()
+            t = (1 << (105 + b)) // d
+            j.append(-b)
+        hi.append(t >> 53)
+        lo.append(t & ((1 << 53) - 1))
+    return np.ldexp(np.array(hi, float), -52), np.ldexp(np.array(lo, float), -105), np.array(j)
+
+
+# The scales 10**(16 - e) of the decimal exponents e of every normal float.
+_K_MIN, _K_MAX = 16 - 308, 16 + 308
+_P10_HI, _P10_LO, _P10_EXP = _power_of_ten_table()
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves of 26 bits
+_P10_HI_A = _SPLIT * _P10_HI - (_SPLIT * _P10_HI - _P10_HI)
+_P10_HI_B = _P10_HI - _P10_HI_A
+_TENS = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a * 10**(16 - e) as hi + lo, exact where the power of ten is (16 - e in
+    [0, 22]) and within 1e-30 relative elsewhere, with the table index of the power."""
+    k = 16 - e - _K_MIN
+    y = np.ldexp(a, np.take(_P10_EXP, k))  # exact: a power of two
+    # Dekker's product of y and _P10_HI: each numpy ufunc rounds once and
+    # none is fused, so hi + lo is exact
+    c = _SPLIT * y
+    ya = c - (c - y)
+    yb = y - ya
+    f = np.take(_P10_HI, k)
+    fa, fb = np.take(_P10_HI_A, k), np.take(_P10_HI_B, k)
+    hi = y * f
+    lo = ((ya * fa - hi) + ya * fb + yb * fa) + yb * fb + y * np.take(_P10_LO, k)
+    return hi, lo, k
+
+
+# A margin, in units of the 17th significant digit, that covers every rounding
+# error of _repr's arithmetic (at most 1e-14) many times over.
+_REPR_MARGIN = 1e-9
+
+
+def _repr(x: np.ndarray, text=repr) -> np.ndarray:
+    """The bytes of text(v) for each float v in x, as a uint8 matrix of
+    (character position, value) in which NULs pad each value's column; text
+    is repr or a function that writes every finite nonzero float as repr does.
+
+    repr writes the shortest digits that read back as v, the closest of them
+    to v. With V = |v| * 10**(16 - e) in [1e16, 1e17), formed exactly as
+    n + f, and h the half gap from v to its neighbours in the same units, the
+    integers strictly within h of V are those that read back as v. The
+    shortest digits are those of the multiple of the largest power of ten
+    among them, rounded from V; _layout lays them out, with ".0" after an
+    integer.
+
+    A cell that cannot be certified so is written by text itself: zero, inf,
+    nan, a subnormal; a power of two, whose lower neighbour is nearer than
+    its upper one; V +- h within _REPR_MARGIN of an integer; a rounding
+    within _REPR_MARGIN of a tie, or one that carries into the next power of
+    ten.
+    """
+    a = np.abs(x)
+    mantissa, exponent = np.frexp(a)
+    ok = (np.finfo(float).tiny <= a) & (a <= np.finfo(float).max) & (mantissa != 0.5)
+    a, exponent = np.where(ok, a, 1.5), np.where(ok, exponent, 1)  # at cells that text writes
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo, k = _scaled(a, e)
+    off = (hi >= 1e17).astype(np.intp) - (hi < 1e16)  # log10 misses by one next to a power of ten
+    if off.any():
+        e += off
+        hi, lo, k = _scaled(a, e)
+    floor = np.floor(lo)
+    n = hi.astype(np.int64) + floor.astype(np.int64)
+    f = lo - floor
+    h = np.ldexp(np.take(_P10_HI, k), np.take(_P10_EXP, k) + exponent - 54)  # v's gap is 2**(exponent - 53)
+    # the integers that read back are n + [ceil(low), floor(high)], unless an end is one
+    low, high = f - h, f + h
+    unsure = (n < 10**16) | (n >= 10**17)
+    unsure |= (np.abs(low - np.rint(low)) < _REPR_MARGIN) | (np.abs(high - np.rint(high)) < _REPR_MARGIN)
+    low, high = np.ceil(low), np.floor(high)
+    top, spread = n + high.astype(np.int64), (high - low).astype(np.int64)
+    # the largest m such that a multiple of 10**m lies in [top - spread, top]: the cells
+    # that have one for m - 1 are tried for m
+    dropped = np.zeros(len(a), np.intp)  # of the 17 digits
+    at = np.arange(len(a))
+    for m in range(1, 17):
+        p = _TENS[m]
+        has = top - top // p * p <= spread
+        at, top, spread = at[has], top[has], spread[has]
+        if not at.size:
+            break
+        dropped[at] = m
+    p = _TENS[dropped]
+    q = n // p
+    r = n - q * p
+    down, up = r + f, (p - r) - f  # V's distances to the multiples of p either side
+    digits = (q + (up < down)) * p
+    unsure |= np.abs(down - up) < _REPR_MARGIN
+    ok &= ~unsure & (digits < 10**17)
+    digits[~ok] = 10**16
+    e[~ok] = 0
+
+    # the 17 digits by fours, from the right
+    q = digits // 10**8
+    r = (digits - q * 10**8).astype(np.uint32)
+    q = q.astype(np.uint32)
+    quads = np.empty((len(x), 5), np.uint32)
+    quads[:, 4], quads[:, 3] = r % 10_000, r // 10_000
+    quads[:, 2], q = q % 10_000, q // 10_000
+    quads[:, 1], quads[:, 0] = q % 10_000, q // 10_000
+    shown = (17 - dropped).astype(np.int16)
+    e = e.astype(np.int16)
+    whole = (0 <= e) & (e < 16)  # written in full from its first digit: its point, and ".0" if an integer
+    scientific = (e < -4) | (e >= 16)
+    point = np.where(whole, e, np.where(scientific & (shown > 1), 0, -1))
+    shown = np.where(whole, np.maximum(shown, e + 2), shown)
+    ascii_digits = np.take(_QUADS, quads, axis=0).reshape(-1, 20)[:, 3:].T
+    return _layout(x, ok, ascii_digits, shown, point, e, scientific, text)
+
+
+def _by_value(chars: np.ndarray) -> np.ndarray:
+    """A (character position, value) matrix of NUL-padded cells as a (value,
+    character position) one, without the positions that no value uses."""
+    return np.ascontiguousarray(chars[chars.any(axis=1)].T)
+
+
+def _text_cells(a: np.ndarray, text=str) -> np.ndarray:
+    """text(v) of each value in a, as a NUL-padded uint8 matrix of (value,
+    character position); each distinct value is formatted once."""
     distinct, inverse = np.unique(a, return_inverse=True)
-    text = np.array([str(v).encode() for v in distinct.tolist()])  # NUL-padded
-    return text.view(np.uint8).reshape(len(text), -1).T[:, inverse.ravel()]
+    cells = np.array([text(v).encode() for v in distinct.tolist()])  # NUL-padded
+    return np.take(cells.view(np.uint8).reshape(len(cells), -1), inverse.ravel(), axis=0)
 
 
-def _csv_rows(values: list, shape: tuple[int, ...]) -> str:
-    """The CSV lines of a block of rows: the cells of an array of this shape, in
-    C order, with a column per value, each value broadcast to the shape.
-    Floats are written as '%.6g' % v, None as an empty cell and any other value
-    as str(v); each cell of a value is formatted once, before it is broadcast."""
-    arrays = [np.asarray("" if v is None else v) for v in values]
+def _block_cells(values: list, shape: tuple[int, ...], float_cells, text) -> list[np.ndarray]:
+    """The cells of each value of a block of rows: the cells of an array of this
+    shape, in C order, with a column per value, each value broadcast to the
+    shape. Each is a NUL-padded uint8 matrix of (*the value's shape, with
+    ones in front, character position), formatted once before it is
+    broadcast: the floats of every value by float_cells in one pass, the rest
+    by _text_cells with text."""
+    arrays = [np.asarray(v) for v in values]
     arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
     # the floats of every column in one pass of the kernel, split by column below
     floats = [a.ravel() for a in arrays if a.dtype.kind == "f"]
-    g6 = _g6(np.concatenate(floats)) if floats else None
+    chars = float_cells(np.concatenate(floats)) if floats else None
     cells, at = [], 0
     for a in arrays:
         if a.dtype.kind == "f":
-            c, at = g6[:, at : at + a.size], at + a.size
-            c = c[c.any(axis=1)]  # the character positions this column uses
+            c, at = _by_value(chars[:, at : at + a.size]), at + a.size
         else:
-            c = _text_cells(a)
-        cells.append(c.reshape(len(c), *a.shape))
-    chars = np.empty((sum(len(c) + 1 for c in cells), *shape), np.uint8)
+            c = _text_cells(a, text)
+        cells.append(c.reshape(*a.shape, -1))
+    return cells
+
+
+def _lines(separators: list[str], cells: list[np.ndarray], shape: tuple[int, ...]) -> str:
+    """The text of rows, in C order of shape: separators[0], the row's cell of
+    cells[0], separators[1], and so on to the last separator. Each cell
+    matrix is (*a shape that broadcasts to shape, character position), its
+    cells NUL-padded."""
+    pieces = [np.frombuffer(s.encode(), np.uint8) for s in separators]
+    parts = [part for pair in zip(pieces, cells) for part in pair] + pieces[len(cells) :]
+    chars = np.empty((*shape, sum(part.shape[-1] for part in parts)), np.uint8)
     at = 0
-    for c in cells:
-        chars[at : at + len(c)] = c
-        chars[at + len(c)] = ord(",")
-        at += len(c) + 1
-    chars[-1] = ord("\n")
-    rows = np.ascontiguousarray(chars.reshape(len(chars), -1).T)
-    return rows[rows != 0].tobytes().decode()
+    for part in parts:
+        chars[..., at : at + part.shape[-1]] = part
+        at += part.shape[-1]
+    return chars[chars != 0].tobytes().decode()
 
 
 Block = tuple[tuple[int, ...], list]
@@ -226,24 +388,28 @@ Block = tuple[tuple[int, ...], list]
 def _emit_table(columns: tuple[str, ...], blocks: Iterable[Block], out) -> None:
     """Write a table as CSV (6 significant digits) or JSON (full precision), a
     block of rows at a time; the rows come in blocks, a (shape, values) pair as
-    _csv_rows takes. The JSON bytes are those of json.dumps({"columns": columns,
-    "rows": rows}, indent=2) of a table with rows."""
+    _block_cells takes. CSV writes floats as '%.6g' % v, None as an empty cell
+    and any other value as str(v). The JSON bytes are those of
+    json.dumps({"columns": columns, "rows": rows}, indent=2) of a table with
+    rows: floats through _repr, which json.dumps writes as repr does."""
     with _output(out.path) as fh:
         if out.format == "csv":
             fh.write(",".join(columns) + "\n")
+            separators = ["", *[","] * (len(columns) - 1), "\n"]
             for shape, values in blocks:
-                fh.write(_csv_rows(values, shape))
+                values = ["" if v is None else v for v in values]
+                fh.write(_lines(separators, _block_cells(values, shape, _g6, str), shape))
         else:
             # {"columns": ...} without its closing "\n}", then the opening of "rows"
-            fh.write(json.dumps({"columns": columns}, indent=2)[:-2] + ',\n  "rows": [\n')
-            separator = ""
+            fh.write(json.dumps({"columns": columns}, indent=2)[:-2] + ',\n  "rows": [')
+            # a row after the one before it; the first row of the table drops the comma
+            keys = [f"\n      {json.dumps(c)}: " for c in columns]
+            separators = [",\n    {" + keys[0], *(",%s" % key for key in keys[1:]), "\n    }"]
+            first = 1
             for shape, values in blocks:
-                n = math.prod(shape)
-                cells = ([v] * n if v is None else np.broadcast_to(v, shape).ravel().tolist() for v in values)
-                rows = json.dumps([dict(zip(columns, row)) for row in zip(*cells)], indent=2)
-                # the block's rows one level deeper, without the brackets of their list
-                fh.write(separator + "  " + rows[2:-2].replace("\n", "\n  "))
-                separator = ",\n"
+                cells = _block_cells(values, shape, lambda x: _repr(x, json.dumps), json.dumps)
+                fh.write(_lines(separators, cells, shape)[first:])
+                first = 0
             fh.write("\n  ]\n}\n")
 
 
@@ -304,21 +470,20 @@ _TRACE_ROWS = 1 << 12
 
 def _trace_writer(fh, num_streams: int) -> simulator.TraceSink:
     """simulator.run's trace sink for fh, after the header: it writes each
-    block as CSV rows, times in full repr. Formatting a float is the cost
-    here; every generation time is an arrival time, so the rows of a block
-    share most of their times, and each distinct time is formatted once."""
+    block as CSV rows, times in full repr, _TRACE_ROWS rows at a time; each
+    distinct time of those rows is formatted once."""
     # the ",kind,stream," middle of a row, by kind * (M + 1) + stream
-    middle = [f",{name},{s}," for name in simulator.TRACE_KINDS for s in range(num_streams + 1)]
+    middle = _text_cells(np.array([f",{name},{s}," for name in simulator.TRACE_KINDS for s in range(num_streams + 1)]))
     fh.write("time,kind,stream,generation_time\n")
 
     def write(block) -> None:
         for lo in range(0, len(block[0]), _TRACE_ROWS):
             t, k, s, g = (column[lo : lo + _TRACE_ROWS] for column in block)
-            times, at = np.unique(np.concatenate((t, g)), return_inverse=True)
-            text = list(map(repr, times.tolist()))
-            mid = k.astype(np.intp) * (num_streams + 1) + s
-            rows = zip(at[: len(t)].tolist(), mid.tolist(), at[len(t) :].tolist())
-            fh.write("".join([f"{text[i]}{middle[c]}{text[j]}\n" for i, c, j in rows]))
+            # every generation time is an arrival time, so the rows share most of their times
+            distinct, at = np.unique(np.concatenate((t, g)), return_inverse=True)
+            times = np.take(_by_value(_repr(distinct)), at, axis=0)
+            mid = np.take(middle, k.astype(np.intp) * (num_streams + 1) + s, axis=0)
+            fh.write(_lines(["", "", "", "\n"], [times[: len(t)], mid, times[len(t) :]], (len(t),)))
 
     return write
 

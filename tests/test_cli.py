@@ -189,23 +189,33 @@ class TestSimulate:
         assert {r["kind"] for r in rows} <= {"arrival", "delivery", "preemption"}
 
     def test_trace_rows_in_full_repr(self, monkeypatch):
-        # the block writer shares reprs between the columns of a block; every
-        # row must read as if each value were printed on its own
-        cfg = SystemConfig(1.5, (0.5, 0.3, 0.2), Exponential(1.0))
-        out, blocks = io.StringIO(), []
-        write = cli._trace_writer(out, cfg.num_streams)
-
-        def trace(block):
-            blocks.append(block)
-            write(block)
-
+        # the block writer formats the times of a block in one pass; every row
+        # must read as if each value were printed on its own, at any time
+        # scale: the README system, in microseconds (times below 1e-4 and 1
+        # early on), and on a slow clock whose times pass 1e16
         monkeypatch.setattr(simulator, "_CHUNK", 500)
-        monkeypatch.setattr(cli, "_TRACE_ROWS", 3)
-        simulator.run(simulator.SimParams(cfg, max_time=2e3, seed=42), trace)
-        assert len(blocks) > 1
-        rows = zip(*(np.concatenate(column).tolist() for column in zip(*blocks)))
-        expected = "".join(f"{t!r},{simulator.TRACE_KINDS[k]},{s},{g!r}\n" for t, k, s, g in rows)
-        assert out.getvalue() == "time,kind,stream,generation_time\n" + expected
+        # system, horizon, rows formatted at a time, and the times the case must reach
+        cases = [
+            (SystemConfig(1.5, (0.5, 0.3, 0.2), Exponential(1.0)), 2e3, 3, lambda t: True),
+            (SystemConfig(1.5e6, (0.5, 0.3, 0.2), Exponential(1e6)), 0.2, cli._TRACE_ROWS, lambda t: t[0] < 1e-4 < t[-1]),
+            (SystemConfig(1.5e-13, (0.5, 0.3, 0.2), Exponential(1e-13)), 2e17, cli._TRACE_ROWS, lambda t: t[-1] > 1e16),
+        ]
+        for cfg, max_time, trace_rows, reaches in cases:
+            monkeypatch.setattr(cli, "_TRACE_ROWS", trace_rows)
+            out, blocks = io.StringIO(), []
+            write = cli._trace_writer(out, cfg.num_streams)
+
+            def trace(block):
+                blocks.append(block)
+                write(block)
+
+            simulator.run(simulator.SimParams(cfg, max_time=max_time, seed=42), trace)
+            assert len(blocks) > 1
+            t, k, s, g = (np.concatenate(column) for column in zip(*blocks))
+            assert reaches(t)
+            rows = zip(t.tolist(), k.tolist(), s.tolist(), g.tolist())
+            expected = "".join(f"{t!r},{simulator.TRACE_KINDS[k]},{s},{g!r}\n" for t, k, s, g in rows)
+            assert out.getvalue() == "time,kind,stream,generation_time\n" + expected
 
     def test_missing_trace_directory(self, tmp_path, capsys):
         out, trace = tmp_path / "sim.csv", tmp_path / "missing" / "trace.csv"

@@ -1,5 +1,6 @@
-"""The CSV writer: its '%.6g' kernel against '%' itself, and each CSV table
-against '%.6g' of the same command's JSON output."""
+"""The table and trace writers: the '%.6g' kernel against '%' itself, the
+repr kernel against repr, each CSV table against '%.6g' of the same
+command's JSON output, and each JSON table against json.dumps."""
 
 import contextlib
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from aoi_mg11 import cli
 from aoi_mg11.cli import main
-from aoi_mg11.config import load_run_config
+from aoi_mg11.config import OutputSettings, load_run_config
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +71,87 @@ def test_kernel_on_random_bits_and_near_ties():
     scaled = digits * np.array([float(f"1e{k}") for k in rng.integers(-22, 23, 100_000)])
     values = np.concatenate([bits, -bits, scaled]).tolist()
     assert g6(values) == ["%.6g" % v for v in values]
+
+
+def full_repr(values, text=repr) -> list[str]:
+    """The repr kernel's cells, as strings."""
+    chars = cli._repr(np.array(values, dtype=float), text)
+    return [bytes(column[column != 0]).decode() for column in chars.T]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=16))
+def test_repr_kernel_writes_what_repr_writes(values):
+    # st.floats() draws subnormals, +-0, +-inf and nan too
+    assert full_repr(values) == [repr(v) for v in values]
+
+
+def _neighbours(values):
+    for v in values:
+        yield from (np.nextafter(v, 0.0).item(), v, np.nextafter(v, math.inf).item())
+
+
+REPR_EDGES = [
+    *_neighbours(float(f"1e{k}") for k in range(-6, 18)),  # repr is in full from 1e-4 to 1e16
+    *np.ldexp(1.0, np.arange(-1074, 1024)).tolist(),  # the lower neighbour is nearer
+    *_neighbours([5e-324, 1e-323, 2.2250738585072014e-308, 0.1, 0.3, 1e22, 1e23]),
+    np.nextafter(1.7976931348623157e308, 0.0).item(),
+    1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_repr_kernel_edges(sign):
+    values = [sign * v for v in REPR_EDGES]
+    assert full_repr(values) == [repr(v) for v in values]
+
+
+def test_repr_kernel_on_random_bits_short_digits_and_ties():
+    rng = np.random.default_rng(18)
+    bits = rng.integers(0, 2**63, 100_000, dtype=np.int64).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    # 1 to 17 significant digits, over the whole exponent range
+    scale = 10.0 ** rng.uniform(-300, 300, 34_000)
+    short = [float("%.*e" % (d, v)) for d, v in zip(rng.integers(0, 17, len(scale)).tolist(), scale.tolist())]
+    # odd M / 2**(k + 1), whose M * 5**k / 2 in [1e16, 1e17) is a tie of the 17-digit rounding
+    k = rng.integers(1, 23, 20_000)
+    low, high = 2e16 / 5.0**k, np.minimum(2e17 / 5.0**k, 2.0**53)
+    m = np.floor(low + rng.random(len(k)) * (high - low)) // 2 * 2 + 1
+    tie = [2 * 10**16 < m * 5**k < 2 * 10**17 for m, k in zip(m.astype(int).tolist(), k.tolist())]
+    ties = np.ldexp(m, -(k + 1))[tie]
+    assert len(ties) > 19_000
+    values = np.concatenate([bits, -bits, short, ties]).tolist()
+    assert full_repr(values) == [repr(v) for v in values]
+
+
+def test_repr_kernel_writes_arrival_times_itself():
+    # the times of a trace: a kernel that left every cell to repr would pass
+    # the tests above, but not this one
+    times = np.cumsum(np.random.default_rng(5).exponential(1.0 / 1.5, 100_000))
+    written = []
+
+    def text(v):
+        written.append(v)
+        return repr(v)
+
+    assert full_repr(times, text) == [repr(v) for v in times.tolist()]
+    assert len(written) <= 0.01 * len(times)
+
+
+def test_json_table_is_json_dumps(tmp_path):
+    columns = ("name", "count", "x", "y", "z")
+    blocks = [
+        ((2, 3), ["a", np.array([[1], [2]]), np.array([0.1, -2.5e-7, 1e300]), None, np.array([[math.nan], [1.0]])]),
+        ((1,), ["b\"\u00e9", 3, -0.0, 5e-324, math.inf]),
+        ((2,), ["c", np.array([4, 5]), np.array([1e16, 1e-5]), 12345678.9, -math.inf]),
+    ]
+    rows = []
+    for shape, values in blocks:
+        cells = [np.broadcast_to(np.asarray(v, dtype=object), shape).ravel().tolist() for v in values]
+        rows += [dict(zip(columns, row)) for row in zip(*cells)]
+    out = tmp_path / "table.json"
+    cli._emit_table(columns, blocks, OutputSettings(format="json", path=str(out), trace_path=None))
+    assert out.read_text() == json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
 
 
 def csv_of_json(text: str) -> str:
@@ -161,10 +243,7 @@ def test_csv_sweep_memory_does_not_grow_with_the_grid(tmp_path):
         assert large <= 2.0 * small, target
 
 
-def test_json_sweep_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
-    # one stream, since json.dumps with an indent takes about 0.2 ms a row
-    # under tracemalloc; blocks of 1,024 rows, so that both grids span whole blocks
-    monkeypatch.setattr(cli, "_SWEEP_ROWS", 1 << 10)
+def test_json_sweep_memory_does_not_grow_with_the_grid(tmp_path):
     for target in ("file", "stdout"):
-        small, large = _sweep_peaks(tmp_path, "json", [1.0], target)
+        small, large = _sweep_peaks(tmp_path, "json", [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08], target)
         assert large <= 2.0 * small, target
