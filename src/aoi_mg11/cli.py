@@ -1,8 +1,10 @@
 """Command-line front end: analyze, simulate, validate, optimize, sweep.
 
-Exit codes: 0 success, 2 config/flag error, 3 domain error, 4 replication
-failure, 5 validation check failure. Output files are written atomically
-(temp file + rename) so failures never leave partial files behind.
+Exit codes: 0 success; an error exits with the code its class in errors.py
+carries: 2 config or flag error, 3 domain error, 4 data error, 5 internal
+invariant violated, which validate also returns when a check fails. Output
+files are written atomically (temp file + rename) so failures never leave
+partial files behind.
 """
 
 from __future__ import annotations
@@ -24,23 +26,7 @@ from . import analytic, flowgraph, optimizer, simulator
 from .analytic import SystemConfig
 from .config import RunConfig, load_run_config
 from .distributions import CONFIG_FIELDS, ServiceDistribution, distribution_from_config, finite_number
-from .errors import (
-    AoiError,
-    ConditioningTooRareError,
-    ConfigError,
-    DivergenceError,
-    InsufficientDataError,
-    InvariantViolationError,
-    ParameterDomainError,
-    PoleError,
-    SingularSystemError,
-    require,
-)
-
-EXIT_CONFIG = 2
-EXIT_DOMAIN = 3
-EXIT_REPLICATION = 4
-EXIT_VALIDATION = 5
+from .errors import AoiError, ConfigError, InvariantViolationError, require
 
 # The per-stream metric set, in output order: field of analytic.StreamMetrics
 # and simulator.StreamStats -> output column. Simulated rows carry a
@@ -611,7 +597,7 @@ def cmd_validate(run_cfg: RunConfig, seed_override: int | None) -> int:
         if run_cfg.output.path:
             with _atomic_file(run_cfg.output.path) as report:
                 report.write(json.dumps({"checks": checks}, indent=2) + "\n")
-    return EXIT_VALIDATION if n_fail else 0
+    return InvariantViolationError.exit_code if n_fail else 0
 
 
 def _service_dest(field: str) -> str:
@@ -785,10 +771,10 @@ def main(argv: list[str] | None = None) -> int:
             seed_override = int(env_seed)
         except ValueError:
             print(f"AOI_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            return ConfigError.exit_code
         if seed_override < 0:
             print(f"AOI_SEED must be >= 0, got {seed_override}", file=sys.stderr)
-            return EXIT_CONFIG
+            return ConfigError.exit_code
 
     try:
         code = _command(args, seed_override)
@@ -799,25 +785,10 @@ def main(argv: list[str] | None = None) -> int:
         # output goes to devnull, so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"config error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        ParameterDomainError,
-        PoleError,
-        SingularSystemError,
-        DivergenceError,
-        ConditioningTooRareError,
-    ) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except InsufficientDataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_REPLICATION
-    except InvariantViolationError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return ConfigError.exit_code
+    except AoiError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -67,16 +67,23 @@ class Exponential(ServiceDistribution):
     def __post_init__(self):
         require((self.rate > 0) & np.isfinite(self.rate), "Exponential rate must be > 0, got {}", self.rate)
 
+    @np.errstate(all="ignore")
     def laplace(self, s):
         require(s > -self.rate, "Laplace argument {} <= -rate {}", s, -self.rate)
-        return self.rate / (self.rate + s)
+        # rate + s overflows only where both pass 1e292, so halving them is exact
+        k = np.where(self.rate + s < np.inf, 1.0, 0.5)
+        return (k * self.rate) / (k * self.rate + k * s)
 
     @np.errstate(all="ignore")
     def exp_weighted_mean(self, s):
         require(s > -self.rate, "argument {} <= -rate {}", s, -self.rate)
-        square = np.square(self.rate + s)
-        require((0.0 < square) & (square < np.inf), "E[S e^(-sS)] at s={} is outside the float range", s)
-        return self.rate / square
+        total = self.rate + s
+        square = np.square(total)
+        direct = (0.0 < square) & (square < np.inf)
+        # where the square leaves the float range, dividing by rate + s twice may not
+        value = np.where(direct, self.rate / square, self.rate / total / total)[()]
+        require(direct | ((0.0 < value) & (value < np.inf)), "E[S e^(-sS)] at s={} is outside the float range", s)
+        return value
 
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)

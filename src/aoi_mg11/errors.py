@@ -4,7 +4,12 @@ import numpy as np
 
 
 class AoiError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. The CLI prints ``label: message`` to
+    stderr and exits with ``exit_code``; an error that names no other is a
+    domain error."""
+
+    exit_code = 3
+    label = "domain error"
 
 
 class ParameterDomainError(AoiError):
@@ -26,9 +31,15 @@ class DivergenceError(AoiError):
 class InvariantViolationError(AoiError):
     """An internal dual-route self-check disagreed beyond tolerance; a defect."""
 
+    exit_code = 5
+    label = "internal invariant violated"
+
 
 class InsufficientDataError(AoiError):
     """Not enough recorded samples to form the requested estimate."""
+
+    exit_code = 4
+    label = "data error"
 
 
 class ConditioningTooRareError(AoiError):
@@ -37,6 +48,9 @@ class ConditioningTooRareError(AoiError):
 
 class ConfigError(AoiError):
     """A run configuration file or CLI flag set failed validation."""
+
+    exit_code = 2
+    label = "config error"
 
 
 def require(ok, message: str, *values, error: type[AoiError] = ParameterDomainError) -> None:

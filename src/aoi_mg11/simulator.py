@@ -1,21 +1,21 @@
 """Discrete-event simulation of the multi-stream M/G/1/1 preemptive queue.
 
 Because every arrival evicts whatever is in service, the sample path has a
-closed recursive structure: arrival k is delivered iff its service duration
-ends before arrival k+1 (ties, probability zero, resolve as delivery). That
-lets a replication be computed with vectorized numpy instead of an
-event-by-event loop, with identical semantics, in chunks of a fixed number of
-arrivals: a chunk needs only the next arrival and each stream's last delivery,
-so memory does not grow with the horizon, and per-stream tallies are running
-sums.
+closed recursive structure: arrival k is delivered iff its service ends by
+arrival k+1, else arrival k+1 preempts it. That lets a replication be
+computed with vectorized numpy instead of an event-by-event loop, with
+identical semantics, in chunks of a fixed number of arrivals: a chunk needs
+only the next arrival and each stream's last delivery, so memory does not
+grow with the horizon, and per-stream tallies are running sums.
 
 Arrivals come from one merged exponential(lam) gap stream. Whether an arrival
 is delivered does not depend on its stream, and stream labels are i.i.d. and
 independent of the arrival and service times, so only the delivered arrivals
 are labelled, in order, by one categorical draw from one RNG substream. The
 event trace labels the undelivered arrivals from a substream of its own, so a
-traced run's statistics equal an untraced run's. The trace is handed on a
-chunk at a time, so it takes no more memory than the chunk.
+traced run's statistics equal an untraced run's. The trace is laid out in
+the order events happen, so it needs no sort; it is handed on a chunk at a
+time, so it takes no more memory than the chunk.
 """
 
 from __future__ import annotations
@@ -101,10 +101,11 @@ class PerStreamTally:
     mgf_sums: dict[float, float] = field(default_factory=dict)
 
 
-# Trace kind codes are indices into TRACE_KINDS, which is also the order of
-# events at the same time. A trace block is four columns sorted by time and then
-# kind: time, kind code, stream, and the generation time of the update the event
-# belongs to; the blocks, in order, are the trace.
+# Trace kind codes are indices into TRACE_KINDS. A trace block is four columns:
+# time, kind code, stream, and the generation time of the update the event
+# belongs to. Its rows come in the order events happen: each arrival, then its
+# preemption of the arrival before it, then its own delivery; the blocks, in
+# order, are the trace.
 TRACE_KINDS = ("delivery", "arrival", "preemption")
 _DELIVERY, _ARRIVAL, _PREEMPTION = range(3)
 TraceSink = Callable[[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], None]
@@ -171,55 +172,58 @@ def _sample_path(
     times = np.cumsum(np.concatenate(([carry], rng_arrivals.exponential(1.0 / cfg.total_rate, size))))
     arr = times[first:-1]
     services = np.asarray(cfg.service.sample(rng_service, len(arr)), dtype=float)
-    # delivered iff service completes before the next arrival (ties: delivered)
-    idx = np.flatnonzero(services <= np.diff(times[first:]))
-    return times[-1], arr, idx, arr[idx] + services[idx], services[idx]
+    done = arr + services
+    # delivered iff service completes by the next arrival (ties: delivered)
+    idx = np.flatnonzero(done <= times[first + 1 :])
+    return times[-1], arr, idx, done[idx], services[idx]
 
 
 def _trace_block(
     sink: TraceSink,
-    held: tuple[np.ndarray, ...],
+    last: tuple[bool, int, float],
     rng_trace: np.random.Generator,
     probs: tuple[float, ...],
     arr: np.ndarray,
     idx: np.ndarray,
     d_label: np.ndarray,
     d_done: np.ndarray,
-    carry: float,
     horizon: float,
-) -> tuple[np.ndarray, ...]:
-    """Hand the sink a chunk's trace rows, after the rows held back from the
-    last chunk, sorted by time and kind up to the carried arrival or, if that
-    lies past it, the horizon; returns the rows from the carried arrival on.
-    Each undelivered arrival is preempted by the next one, and draws its
-    stream from rng_trace."""
+) -> tuple[bool, int, float]:
+    """Hand the sink a chunk's trace rows up to the horizon. last is the
+    (preempted, stream, time) of the arrival before the chunk; returns those
+    of the chunk's last arrival.
+
+    Each arrival owns three slots, in order: its arrival, the preemption of the
+    arrival before it if that one was not delivered, and its own delivery if
+    it was. The rows are the slots that happen. An undelivered arrival draws
+    its stream from rng_trace."""
     n = len(arr)
-    undelivered = np.ones(n, dtype=bool)
-    undelivered[idx] = False
-    pre = np.flatnonzero(undelivered)
+    delivered = np.zeros(n, dtype=bool)
+    delivered[idx] = True
     labels = np.empty(n, dtype=d_label.dtype)
     labels[idx] = d_label
-    labels[pre] = _labels(rng_trace, probs, len(pre))
+    labels[~delivered] = _labels(rng_trace, probs, n - len(idx))
     labels += 1  # the trace counts streams from 1
-    kinds = np.array((_ARRIVAL, _DELIVERY, _PREEMPTION), dtype=np.int8)
-    block = [
-        np.concatenate((held[0], arr, d_done, np.append(arr[1:], carry)[pre])),
-        np.concatenate((held[1], np.repeat(kinds, (n, len(idx), len(pre))))),
-        np.concatenate((held[2], labels, labels[idx], labels[pre])),
-        np.concatenate((held[3], arr, arr[idx], arr[pre])),
-    ]
-    order = np.lexsort((block[1], block[0]))
-    for c in range(4):  # a column at a time, so that one at most is held twice
-        block[c] = block[c][order]
-    # No later event comes before the carried arrival, so the block is final
-    # up to its time; the rows from there on (a preemption by that arrival
-    # sorts after it) open the next block, copied so as not to pin this one.
-    if carry > horizon:
-        sink(tuple(column[: np.searchsorted(block[0], horizon, side="right")] for column in block))
-        return ()
-    cut = int(np.searchsorted(block[0], carry))
+    done = arr.copy()
+    done[idx] = d_done
+
+    def before(column, first):  # the value of each arrival's predecessor
+        shifted = np.roll(column, 1)
+        shifted[0] = first
+        return shifted
+
+    preempted, stream, time = last
+    # the slots that happen, as indices into the chunk's n x 3 slots
+    at = np.flatnonzero(np.column_stack((np.ones(n, dtype=bool), before(~delivered, preempted), delivered)))
+    block = (
+        np.column_stack((arr, arr, done)).ravel()[at],
+        np.array((_ARRIVAL, _PREEMPTION, _DELIVERY), dtype=np.int8)[at % 3],
+        np.column_stack((labels, before(labels, stream), labels)).ravel()[at],
+        np.column_stack((arr, before(arr, time), arr)).ravel()[at],
+    )
+    cut = int(np.searchsorted(block[0], horizon, side="right"))
     sink(tuple(column[:cut] for column in block))
-    return tuple(column[cut:].copy() for column in block)
+    return not delivered[-1], labels[-1], arr[-1]
 
 
 def _simulate_replication(
@@ -244,8 +248,8 @@ def _simulate_replication(
     # at the origin starts the age at 0, but opens no interdeparture gap
     last = [(0.0, 0.0)] * m
     delivered_before = [False] * m
-    # the trace rows held back from the last chunk, to open the next one's block
-    held = (np.empty(0), np.empty(0, np.int8), np.empty(0, np.min_scalar_type(m)), np.empty(0))
+    # the trace's last arrival (preempted, stream, time); none precedes the first
+    last_arrival = (False, 0, 0.0)
 
     # Each chunk simulates the arrivals before its last one, which is carried
     # into the next chunk as the look-ahead that decides the final delivery.
@@ -272,7 +276,7 @@ def _simulate_replication(
                 break
             horizon *= 1.6
         if sink is not None:
-            held = _trace_block(sink, held, rng_trace, cfg.stream_probs, arr, idx, d_label, d_done, carry, horizon)
+            last_arrival = _trace_block(sink, last_arrival, rng_trace, cfg.stream_probs, arr, idx, d_label, d_done, horizon)
         if carry > horizon:
             break
 

@@ -1,10 +1,15 @@
+import json
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from aoi_mg11 import cli
 from aoi_mg11.distributions import (
     Deterministic,
     Exponential,
@@ -177,6 +182,64 @@ class TestArrays:
             Exponential(2.0).laplace(np.array([1.0, -3.0, -4.0]))
         with pytest.raises(ParameterDomainError, match=r"^E\[e\^\(-sS\)\] at s=-1000.0 is outside the float range$"):
             Uniform(0.0, 1.0).laplace(np.array([-1.0, -1000.0]))
+
+
+def old_exponential(rate, s):
+    """Exponential's laplace and exp_weighted_mean as rate / (rate + s) and
+    rate / (rate + s)^2, with the sum and the square formed first: the two
+    values, each with where its intermediate was in the float range."""
+    with np.errstate(all="ignore"):
+        total = rate + np.asarray(s, dtype=float)
+        square = np.square(total)
+        return rate / total, total < np.inf, rate / square, (0.0 < square) & (square < np.inf)
+
+
+class TestExponentialRange:
+    """Exponential's methods avoid the overflow of rate + s and of its square,
+    and keep every bit where the old expression was finite."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(rate=st.floats(5e-324, 1.7976931348623157e308), data=st.data())
+    def test_the_bits_of_the_old_expression_where_it_was_finite(self, rate, data):
+        finite = st.floats(-rate, 1.7976931348623157e308, exclude_min=True)
+        grid = np.array(data.draw(st.lists(finite, min_size=1, max_size=8)))
+        law = Exponential(rate)
+        laplace, sum_in_range, mean, square_in_range = old_exponential(rate, grid)
+        assert law.laplace(grid)[sum_in_range].tolist() == laplace[sum_in_range].tolist()
+        if square_in_range.any():
+            assert law.exp_weighted_mean(grid[square_in_range]).tolist() == mean[square_in_range].tolist()
+        for k, s in enumerate(grid.tolist()):
+            if sum_in_range[k]:
+                assert float(law.laplace(s)) == laplace[k]
+            if square_in_range[k]:
+                assert float(law.exp_weighted_mean(s)) == mean[k]
+
+    def test_past_the_overflow(self):
+        huge = 8.98846567431158e307  # rate + rate overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Exponential(huge).laplace(huge) == 0.5
+            assert Exponential(1e155).exp_weighted_mean(1.0) == 1e-155
+            assert Exponential(1e-170).exp_weighted_mean(np.array([0.0, 1.0])).tolist() == [1e170, 1e-170]
+
+    def test_rate_1e155_is_gamma_of_shape_1(self, tmp_path, capsys):
+        rows = []
+        for service in ({"type": "exponential", "rate": 1e155}, {"type": "gamma", "shape": 1.0, "scale": 1e-155}):
+            config = tmp_path / "system.json"
+            config.write_text(json.dumps({"system": {"total_rate": 1.0, "stream_probs": [0.5, 0.5], "service": service}}))
+            assert cli.main(["analyze", "-c", str(config)]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+        assert rows[0].splitlines()[1] == "1,0.5,0.5,2,2,1e-155,2,8,0.5"
+
+    def test_optimize_at_the_float_maximum_warns_nothing(self, capsys):
+        rates = ["--rate", "8.988465674311579e+307", "--service-rate", "8.98846567431158e+307"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["optimize", *rates, "--streams", "1", "--points", "0", "--service", "exponential"])
+        # P(lam) = 0.5 now, but E[S e^(-sS)] = 1 / (4 rate) is subnormal
+        assert code == 3
+        assert capsys.readouterr().err == "domain error: E[S e^(-sS)] at s=8.988465674311579e+307 is outside the float range\n"
 
 
 class TestSampling:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from aoi_mg11 import cli, simulator
@@ -352,7 +354,7 @@ class TestChunkedReplication:
         ids=["3", "777", "default", "straddling"],
     )
     def test_streamed_trace_matches_the_sorted_reference(self, tmp_path, monkeypatch, chunk, max_time, service, seed):
-        # small chunks put many held-back preemptions at chunk edges; at seed
+        # small chunks put many preemptions across chunk edges; at seed
         # 2 the last arrival is delivered past the horizon, so its stream
         # comes from the statistics' substream
         if chunk is not None:
@@ -387,6 +389,76 @@ class TestChunkedReplication:
         # the trace is handed to its sink a chunk at a time, and not kept
         drop = lambda block: None  # noqa: E731
         assert peak(2e6, drop) <= 2.0 * peak(2e5, drop)
+
+
+def event_loop_trace(params: SimParams, horizon: float) -> list[tuple]:
+    """The first replication's event trace up to the horizon, one arrival at a
+    time: the arrival's row, the preemption of the arrival before it if that
+    one was not delivered, and the arrival's delivery if its service ends by
+    the next arrival and by the horizon. A delivered arrival draws its stream
+    from the labels' substream, an undelivered one from the trace's."""
+    cfg, m = params.cfg, params.cfg.num_streams
+    children = np.random.SeedSequence(params.seed).spawn(params.replications)[0].spawn(4)
+    gaps, services, labels, trace_labels = map(np.random.default_rng, children)
+    rows, preempted = [], None
+    t = gaps.exponential(1.0 / cfg.total_rate)
+    while t <= horizon:
+        done = t + float(cfg.service.sample(services, 1)[0])
+        nxt = t + gaps.exponential(1.0 / cfg.total_rate)
+        delivered = done <= nxt
+        stream = 1 + int((labels if delivered else trace_labels).choice(m, p=cfg.stream_probs))
+        rows.append((t, "arrival", stream, t))
+        if preempted is not None:
+            rows.append((t, "preemption", preempted[1], preempted[0]))
+        if delivered and done <= horizon:
+            rows.append((done, "delivery", stream, t))
+        preempted = None if delivered else (t, stream)
+        t = nxt
+    return rows
+
+
+TRACE_LAWS = st.one_of(
+    st.builds(Exponential, st.floats(0.2, 5.0)),
+    st.builds(Gamma, st.floats(0.3, 4.0), st.floats(0.1, 2.0)),
+    st.builds(Deterministic, st.sampled_from([1e-20, 1e-9, 0.3, 1.0, 2.5])),
+    st.builds(Uniform, st.just(0.0), st.floats(1e-3, 3.0)),
+)
+
+
+class TestTraceOrder:
+    """The streamed trace against an event loop over the arrivals: each
+    arrival's row comes before its preemption of the last one and before its
+    own delivery, even where the service is below half the float spacing of
+    the arrival time, so that the delivery time equals it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        weights=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        rate=st.floats(0.5, 2.0),
+        law=TRACE_LAWS,
+        rule=st.one_of(
+            st.builds(lambda t: {"max_time": t}, st.floats(20.0, 150.0)),
+            st.builds(lambda n: {"min_deliveries_per_stream": n}, st.integers(5, 20)),
+        ),
+        seed=st.integers(0, 2**16),
+        chunk=st.integers(2, 6),
+    )
+    @example(weights=[1, 1], rate=1.0, law=Deterministic(1e-20), rule={"max_time": 50.0}, seed=3, chunk=5)
+    def test_streamed_trace_matches_the_event_loop(self, weights, rate, law, rule, seed, chunk):
+        cfg = SystemConfig(rate, tuple(w / sum(weights) for w in weights), law)
+        params = SimParams(cfg, seed=seed, warmup_fraction=0.0, **rule)
+        blocks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_CHUNK", chunk)
+            try:
+                horizon = run(params, blocks.append).horizons[0]
+            except InsufficientDataError:  # the trace is whole: a short stream fails after it
+                horizon = params.max_time
+        time, kind, stream, generation = (np.concatenate(column).tolist() for column in zip(*blocks))
+        assert len(blocks) > 1
+        assert all(a <= b for a, b in zip(time, time[1:]))
+        kinds = [simulator.TRACE_KINDS[k] for k in kind]
+        assert list(zip(time, kinds, stream, generation)) == event_loop_trace(params, horizon)
 
 
 class TestEmpiricalMgf:
