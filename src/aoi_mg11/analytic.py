@@ -128,7 +128,10 @@ def _mean_interdeparture(li: float, p: float) -> float:
 def _second_moment_interdeparture(li: float, p: float, ew: float) -> float:
     # 2 / (lam_i P)^2 is the largest per-stream metric: where it is finite,
     # so are the others (age_columns checks its range alone)
-    return 2.0 * (-ew / (li * p * p) + 1.0 / (li * li * p * p))
+    square = np.multiply(li, li) * p * p
+    # where lam_i^2 P^2 leaves the float range, squaring 1 / (lam_i P) may not
+    inverse = np.where((0.0 < square) & (square < np.inf), 1.0 / square, np.square(1.0 / (li * p)))[()]
+    return 2.0 * (-ew / (li * p * p) + inverse)
 
 
 def system_time_mgf(cfg: SystemConfig, s: float) -> float:

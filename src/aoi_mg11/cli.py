@@ -554,10 +554,11 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None):
         "V": analytic.clock_mgf_B,
         "U": analytic.system_time_mgf,
     }
-    clock_names = ["A", "B", "U"] + (["V", "Z"] if cfg.num_streams > 1 else [])
+    # one draw of (X, Lambda, S) serves every clock; Z and V need a foreign stream
+    clock_names = "ABU" + ("VZ" if cfg.num_streams > 1 else "")
+    clock_stats = simulator.clock_conditional_sampler(cfg, 1, clock_names, 200_000, rng)
     for which in clock_names:
-        stats = simulator.clock_conditional_sampler(cfg, 1, which, 200_000, rng)
-        for s, (mean, se) in stats.items():
+        for s, (mean, se) in clock_stats[which].items():
             add(f"clock_{which}_mc[s={s}]", mean, clock_refs[which](cfg, s), 5.0 * se + 1e-12)
 
     # simulation vs analytic ages, delivery rates, renewal identity, MGF probes

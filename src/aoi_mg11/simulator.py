@@ -416,6 +416,7 @@ def run(params: SimParams, trace: TraceSink | None = None) -> SimResult:
 
 
 _MAX_REJECTION_RATE = 0.9999
+_CLOCKS = "ABUVZ"
 
 
 def clock_conditional_sampler(
@@ -424,18 +425,25 @@ def clock_conditional_sampler(
     which: str,
     n: int,
     rng: np.random.Generator,
-) -> dict[float, tuple[float, float]]:
-    """Rejection-sample one of the conditional clocks A, B, U, V, Z.
+) -> dict[float, tuple[float, float]] | dict[str, dict[float, tuple[float, float]]]:
+    """Rejection-sample the conditional clocks A, B, U, V, Z from one draw.
 
-    Draws n independent (X, Lambda, S) triples, keeps the clock value on the
-    conditioning event, and returns the empirical MGF (mean, standard error)
-    at the probes 0, -lam/3 and lam/4, fractions of lam that scale with the
-    time unit. Aborts if fewer than 1 in 10^4 draws are accepted.
+    Draws n independent (X, Lambda, S) triples once and reads each clock
+    named in ``which`` from them: from the idle state X races Lambda, and A
+    (X wins) or Z (Lambda wins) keeps the winner; from the busy state X,
+    Lambda and S race, and B, V or U keeps X, Lambda or S where it wins.
+    For each clock it returns the empirical MGF (mean, standard error) at
+    the probes 0, -lam/3 and lam/4, fractions of lam that scale with the
+    time unit: ``{s: (mean, se)}`` for one letter, ``{clock: {s: (mean,
+    se)}}`` for several. The clocks of one call are correlated (A and Z
+    split the draws, and so do B, V and U), but each clock's accepted values
+    are i.i.d. from its conditional law. Aborts at the first clock, in the
+    order asked, with fewer than 1 in 10^4 draws accepted.
     """
     if n < 1:
         raise ParameterDomainError(f"n must be >= 1, got {n}")
-    if which not in ("A", "B", "U", "V", "Z"):
-        raise ParameterDomainError(f"unknown clock {which!r}")
+    if not which or set(which) - set(_CLOCKS) or len(set(which)) < len(which):
+        raise ParameterDomainError(f"clocks must be distinct letters of {_CLOCKS}, got {which!r}")
     lam = cfg.total_rate
     li = cfg.stream_rate(i)
     other = lam - li
@@ -447,25 +455,34 @@ def clock_conditional_sampler(
         lam_clock = np.full(n, np.inf)
     svc = np.asarray(cfg.service.sample(rng, n), dtype=float)
 
-    if which == "A":
-        accept, vals = x < lam_clock, x
-    elif which == "Z":
-        accept, vals = lam_clock < x, lam_clock
-    elif which == "B":
-        accept, vals = x < np.minimum(svc, lam_clock), x
-    elif which == "V":
-        accept, vals = lam_clock < np.minimum(svc, x), lam_clock
-    else:  # U: service wins against every arrival clock
-        accept, vals = svc < np.minimum(x, lam_clock), svc
-
-    kept = vals[accept]
-    if (n - len(kept)) / n > _MAX_REJECTION_RATE or len(kept) < 2:
-        raise ConditioningTooRareError(
-            f"clock {which}: only {len(kept)} of {n} draws accepted"
-        )
-
+    # each clock's winner and its rivals; boolean masks, not min() arrays,
+    # keep the three draws the only n-float arrays alive
+    races = {
+        "A": (x, (lam_clock,)),
+        "Z": (lam_clock, (x,)),
+        "B": (x, (svc, lam_clock)),
+        "V": (lam_clock, (svc, x)),
+        "U": (svc, (x, lam_clock)),
+    }
     out = {}
-    for s in (0.0, -lam / 3, lam / 4):
-        e = np.exp(s * kept)
+    for clock in which:
+        winner, rivals = races[clock]
+        accept = winner < rivals[0]
+        for rival in rivals[1:]:
+            accept &= winner < rival
+        kept = int(np.count_nonzero(accept))
+        if (n - kept) / n > _MAX_REJECTION_RATE or kept < 2:
+            raise ConditioningTooRareError(f"clock {clock}: only {kept} of {n} draws accepted")
+        out[clock] = _empirical_mgf(winner[accept], (0.0, -lam / 3, lam / 4))
+    return out[which] if len(which) == 1 else out
+
+
+def _empirical_mgf(values: np.ndarray, probes: tuple[float, ...]) -> dict[float, tuple[float, float]]:
+    """(mean, standard error) of e^(s V) over the values V at each probe s."""
+    # each probe's exponentials are formed in place, in one buffer
+    e = np.empty_like(values)
+    out = {}
+    for s in probes:
+        np.exp(np.multiply(s, values, out=e), out=e)
         out[s] = (float(e.mean()), float(e.std(ddof=1) / math.sqrt(len(e))))
     return out

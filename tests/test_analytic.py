@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,6 +179,54 @@ class TestAgeReport:
         rep = age_report(REF)
         for s in rep.streams:
             assert s.peak_age > s.avg_age
+
+
+def old_second_moment(li, p, ew):
+    """E[Y^2] as it was formed before the overflow of lam_i^2 P^2 was avoided."""
+    with np.errstate(all="ignore"):
+        return 2.0 * (-ew / (li * p * p) + 1.0 / (li * li * p * p))
+
+
+class TestSecondMomentRange:
+    """E[Y^2] no longer overflows in lam_i^2 P^2, and keeps every bit where the
+    old expression passed age_columns' range check (0 < E[Y^2] < inf)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+        data=st.data(),
+    )
+    def test_the_bits_of_the_old_expression_where_it_was_in_range(self, shape, data):
+        g, m = shape
+        draw = lambda elements, n: np.array(data.draw(st.lists(elements, min_size=n, max_size=n)))  # noqa: E731
+        li = draw(st.floats(5e-324, 1.7976931348623157e308), g * m).reshape(g, m)
+        p = draw(st.floats(5e-324, 1.0), g).reshape(g, 1)
+        ew = draw(st.floats(0.0, 1.7976931348623157e308), g).reshape(g, 1)
+        old = old_second_moment(li, p, ew)
+        with np.errstate(all="ignore"):
+            new = analytic._second_moment_interdeparture(li, p, ew)
+        in_range = (0.0 < old) & (old < np.inf)
+        assert new[in_range].tolist() == old[in_range].tolist()
+        for (k, j), was_in_range in np.ndenumerate(in_range):
+            li_s, p_s, ew_s = np.float64(li[k, j]), np.float64(p[k, 0]), np.float64(ew[k, 0])
+            with np.errstate(all="ignore"):
+                scalar = analytic._second_moment_interdeparture(li_s, p_s, ew_s)
+            assert np.shape(scalar) == ()
+            assert (scalar == new[k, j]) or (np.isnan(scalar) and np.isnan(new[k, j]))
+            if was_in_range:
+                assert scalar == old_second_moment(li_s, p_s, ew_s)
+
+    def test_past_the_overflow(self):
+        # Gamma(1, 1) at lam = 1e155 split (.5, .5): E[Y] ~ 2 and E[T] ~ 1e-155,
+        # so E[Y^2] = 2 / (lam_i P)^2 - 2 E[S e^(-lam S)] / (lam_i P^2) ~ 8
+        li, p, ew = 5e154, 1.0000000000000027e-155, 1e-310
+        exact = 2 * (-Fraction(ew) / (Fraction(li) * Fraction(p) ** 2) + 1 / (Fraction(li) * Fraction(p)) ** 2)
+        assert not 0.0 < old_second_moment(li, np.float64(p), ew) < np.inf
+        with np.errstate(all="ignore"):
+            assert analytic._second_moment_interdeparture(li, p, ew) == pytest.approx(float(exact), rel=4e-16)
+        row = age_report(SystemConfig(1e155, (0.5, 0.5), Gamma(1.0, 1.0))).streams[0]
+        assert row.second_moment_interdeparture == pytest.approx(2 * row.mean_interdeparture**2, rel=4e-16)
+        assert row.second_moment_interdeparture == pytest.approx(8.0, rel=1e-14)
 
 
 class TestPeakAboveAverage:

@@ -358,6 +358,16 @@ def test_values_outside_the_float_range_are_domain_errors(tmp_path, capsys, syst
     assert capsys.readouterr().err.startswith("domain error: ")
 
 
+def test_second_moment_past_the_overflow_of_its_square(tmp_path):
+    # lam_i^2 P^2 overflows at lam_i = 5e154, but E[Y] = 2 and E[Y^2] = 8
+    out = tmp_path / "report.csv"
+    system = {"total_rate": 1e155, "stream_probs": [0.5, 0.5], "service": {"type": "gamma", "shape": 1, "scale": 1}}
+    assert main(["analyze", "-c", write_config(tmp_path, system=system, output={"path": str(out)})]) == 0
+    rows = read_csv(out)
+    assert [row["mean_Y2"] for row in rows[:2]] == ["8", "8"]
+    assert rows[0] == dict(zip(rows[0], "1,5e+154,0.5,2,2,1e-155,2,8,0.5".split(",")))
+
+
 def test_peak_equal_to_average_at_extreme_scale(tmp_path):
     # E[T] = 6.3e-17 rounds away in the peak age 1000 + E[T]
     system = {"total_rate": 1.58e16, "stream_probs": [1.0], "service": {"type": "exponential", "rate": 0.001}}
@@ -435,6 +445,45 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "domain error: clock U" in err
         assert "Traceback" not in err
+
+
+# validate's checks on the README system without a simulation, in order
+ORACLE_CHECKS = [
+    f"{route}[i={i},s={s}]"
+    for i in (1, 2, 3)
+    for s in (-0.25, -0.5, -1.0)
+    for route in ("transfer_function", "elimination", "path_sum")
+]
+NUMERIC_CHECKS = ["mean_system_time_numeric"] + [
+    f"{name}[i={i}]" for i in (1, 2, 3) for name in ("mean_interdeparture_numeric", "second_moment_numeric")
+]
+CLOCK_CHECKS = [
+    "clock_A_mc[s=0.0]", "clock_A_mc[s=-0.5]", "clock_A_mc[s=0.375]",
+    "clock_B_mc[s=0.0]", "clock_B_mc[s=-0.5]", "clock_B_mc[s=0.375]",
+    "clock_U_mc[s=0.0]", "clock_U_mc[s=-0.5]", "clock_U_mc[s=0.375]",
+    "clock_V_mc[s=0.0]", "clock_V_mc[s=-0.5]", "clock_V_mc[s=0.375]",
+    "clock_Z_mc[s=0.0]", "clock_Z_mc[s=-0.5]", "clock_Z_mc[s=0.375]",
+]
+
+
+@pytest.mark.parametrize(
+    "probs, names",
+    [
+        ([0.5, 0.3, 0.2], ORACLE_CHECKS + NUMERIC_CHECKS + ["dual_route_decomposition"] + CLOCK_CHECKS),
+        # one stream has no foreign arrivals, so no V or Z clock
+        ([1.0], ORACLE_CHECKS[:9] + NUMERIC_CHECKS[:3] + ["dual_route_decomposition"] + CLOCK_CHECKS[:9]),
+    ],
+    ids=["three_streams", "one_stream"],
+)
+def test_validate_keeps_every_check(tmp_path, probs, names):
+    # every clock is read from one draw, and each keeps its own three checks
+    report = tmp_path / "report.json"
+    system = dict(REF_SYSTEM, stream_probs=probs)
+    cfg = write_config(tmp_path, system=system, output={"format": "json", "path": str(report)})
+    assert main(["validate", "-c", cfg]) == 0
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in checks] == names
+    assert all(c["passed"] for c in checks)
 
 
 def test_numeric_moments_in_microseconds(tmp_path):

@@ -506,3 +506,50 @@ class TestConditionalClocks:
     def test_unknown_clock(self, rng):
         with pytest.raises(ParameterDomainError):
             clock_conditional_sampler(REF, 1, "Q", 100, rng)
+
+
+class TestOneDrawClocks:
+    """One call draws (X, Lambda, S) once and reads every clock it names from
+    that draw; each clock is then exactly its single-letter call at the seed."""
+
+    FIVE = (0.2, 0.2, 0.2, 0.2, 0.2)
+
+    @pytest.mark.parametrize("law", [Exponential(1.0), Gamma(2.0, 0.5), Deterministic(0.5), Uniform(0.2, 1.0)])
+    def test_each_clock_is_its_single_letter_call(self, law):
+        cfg = SystemConfig(1.5, self.FIVE, law)
+        for k in range(3):
+            stats = clock_conditional_sampler(cfg, 1, "ABUVZ", 20_000, np.random.default_rng(k))
+            assert list(stats) == list("ABUVZ")
+            for which in "ABUVZ":
+                assert stats[which] == clock_conditional_sampler(cfg, 1, which, 20_000, np.random.default_rng(k))
+
+    def test_one_stream(self):
+        # with no foreign stream Lambda never fires, so neither V nor Z is seen;
+        # the first such clock in the order asked is the one named
+        cfg = SystemConfig(1.5, (1.0,), Exponential(1.0))
+        assert list(clock_conditional_sampler(cfg, 1, "ABU", 10_000, np.random.default_rng(0))) == list("ABU")
+        for which, named in (("ABUVZ", "V"), ("ABUZV", "Z")):
+            with pytest.raises(ConditioningTooRareError, match=f"^clock {named}: only 0 of 10000 draws accepted$"):
+                clock_conditional_sampler(cfg, 1, which, 10_000, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("which", ["", "AQ", "q", "AA"])
+    def test_clocks_must_be_distinct_known_letters(self, rng, which):
+        with pytest.raises(ParameterDomainError, match="distinct letters of ABUVZ"):
+            clock_conditional_sampler(REF, 1, which, 100, rng)
+
+    def test_memory_of_one_draw(self):
+        # the three n-float draws stay alive across the clocks, and each
+        # clock adds its mask, its accepted values, one exponential buffer
+        # and std's temporary: 44 n bytes at this split, against 51 n for
+        # five draws
+        n = 200_000
+        cfg = SystemConfig(1.5, self.FIVE, Exponential(1.0))
+        # a first small call, so that what numpy allocates once is not counted
+        clock_conditional_sampler(cfg, 1, "ABUVZ", 1_000, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            clock_conditional_sampler(cfg, 1, "ABUVZ", n, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n
