@@ -234,13 +234,6 @@ def age_columns(
     check raises that check's error.
     """
     check_systems(total_rates, stream_probs)
-    return _age_columns(total_rates, stream_probs, service)
-
-
-def _age_columns(
-    total_rates: np.ndarray, stream_probs: np.ndarray, service: ServiceDistribution
-) -> dict[str, np.ndarray]:
-    """age_columns on systems that already passed check_systems."""
     p = beats_arrival(service, total_rates)[:, None]
     ew = service.exp_weighted_mean(total_rates)[:, None]
     rates = total_rates[:, None] * stream_probs
@@ -280,8 +273,7 @@ def _age_columns(
 
 def age_report(cfg: SystemConfig) -> AgeReport:
     """All per-stream metrics plus totals: age_columns on the one system."""
-    # cfg passed check_systems when it was built
-    columns = _age_columns(np.array([cfg.total_rate], dtype=float), np.array([cfg.stream_probs]), cfg.service)
+    columns = age_columns(np.array([cfg.total_rate], dtype=float), np.array([cfg.stream_probs]), cfg.service)
     totals = [columns.pop(name).item() for name in ("total_avg_age", "total_peak_age")]
     per_stream = zip(*(c[0].tolist() for c in columns.values()))
     return AgeReport(tuple(StreamMetrics(i, *row) for i, row in enumerate(per_stream, start=1)), *totals)

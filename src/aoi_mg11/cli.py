@@ -89,25 +89,61 @@ def _output(path: str | None) -> Iterator:
         shutil.copyfileobj(fh, sys.stdout)
 
 
-# 10**k for k in [-22, 22]: exact for k >= 0, correctly rounded for k < 0.
-_POW10 = np.array([10.0**k if k >= 0 else 1.0 / 10.0**-k for k in range(-22, 23)])
-# The decimal exponents that _g6 writes itself: |v| is scaled by 10**(5 - e) from the table.
-_E_MIN, _E_MAX = -17, 27
 # the digits of 0 to 9999 in ASCII, four a row
 _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
 
 
-def _layout(x, ok, digits, shown, point, e, scientific, text) -> np.ndarray:
+def _power_of_ten_table() -> tuple[np.ndarray, ...]:
+    """10**k = (hi + lo) * 2**j for k in [_K_MIN, _K_MAX], with hi + lo in [1, 2)
+    the 106-bit truncation of 10**k / 2**j: hi of its first 53 bits, lo of
+    the rest; exact for k in [0, 22], where 10**k / 2**j is 5**k / 2**(j - k)."""
+    hi, lo, j = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            p = 10**k
+            b = p.bit_length()
+            t = p << (106 - b) if b <= 106 else p >> (b - 106)
+            j.append(b - 1)
+        else:
+            d = 10**-k
+            b = d.bit_length()
+            t = (1 << (105 + b)) // d
+            j.append(-b)
+        hi.append(t >> 53)
+        lo.append(t & ((1 << 53) - 1))
+    return np.ldexp(np.array(hi, float), -52), np.ldexp(np.array(lo, float), -105), np.array(j)
+
+
+# The scales of the decimal exponents e of every normal float: 10**(5 - e)
+# for _g6, 10**(16 - e) for _repr.
+_K_MIN, _K_MAX = 5 - 308, 16 + 308
+_P10_HI, _P10_LO, _P10_EXP = _power_of_ten_table()
+with np.errstate(over="ignore"):
+    _P10 = np.ldexp(_P10_HI, _P10_EXP)  # less than 2**-52 below 10**k; inf where that overflows
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves of 26 bits
+_P10_HI_A = _SPLIT * _P10_HI - (_SPLIT * _P10_HI - _P10_HI)
+_P10_HI_B = _P10_HI - _P10_HI_A
+_TENS = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _layout(x, ok, digits, significant, e, switch, fraction, text) -> np.ndarray:
     """The cells of the floats x, as a uint8 matrix of (character position,
-    value) in which NULs pad each value's column. Each is laid out in slots:
-    the sign; the "0." and up to three zeros of a number from 1e-4 to 1
-    written in full; its ASCII digits (digit, value), of which the first
-    `shown` are written, each with a slot for the point, written after digit
-    `point`; and, if scientific, the exponent e. A cell that is not ok is
-    text(v) instead."""
+    value) in which NULs pad each value's column; a cell that is not ok is
+    text(v) instead. v has the decimal exponent e and the ASCII digits
+    (digit, value), of which the first `significant` are written: in full
+    from the first if 0 <= e < switch, with at least `fraction` after the
+    point; after "0." and up to three zeros if -4 <= e < 0; and otherwise in
+    scientific form, with a point after the first if others follow. A cell's
+    slots are its sign, the "0." and zeros, each digit with a slot for the
+    point after it, and the exponent. The kernels hold e as int16: it stays
+    alive beside the cells."""
+    whole = (0 <= e) & (e < switch)
+    lead = (-4 <= e) & (e < 0)
+    scientific = ~(whole | lead)
+    shown = np.where(whole, np.maximum(significant, e + 1 + fraction), significant)
+    point = np.where(whole, np.where(shown > e + 1, e, -1), np.where(scientific & (significant > 1), 0, -1))
     width = len(digits)
     chars = np.empty((11 + 2 * width, len(x)), np.uint8)
-    lead = (-4 <= e) & (e < 0)
     chars[0] = (x < 0) * np.uint8(ord("-"))
     chars[1] = lead * np.uint8(ord("0"))
     chars[2] = lead * np.uint8(ord("."))
@@ -140,25 +176,23 @@ def _g6(x: np.ndarray) -> np.ndarray:
     rint(s) and laid out by _layout: without the trailing zeros, and without
     a point they leave last.
 
-    s is one multiply from |v|, off the exact product by at most 2.3e-10 (two
-    roundings of 2**-53 relative), so rint(s) rounds as '%' does unless s lies
-    that close to a tie. A cell that cannot be certified so (zero, inf, nan,
-    an exponent outside [_E_MIN, _E_MAX], or |frac(s) - 0.5| <= 1e-9) is
-    written by '%' instead.
+    s is one multiply of |v| by _P10's 10**(5 - e), off the exact product by
+    at most 3.4e-10 (2**-52 relative from the table, 2**-53 from the
+    product), so rint(s) rounds as '%' does unless s lies that close to a
+    tie. A cell that cannot be certified so (zero, inf, nan, a subnormal, a
+    10**(5 - e) that overflows, or |frac(s) - 0.5| <= 1e-9) is written by '%'
+    instead.
     """
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))  # -inf at 0, nan at nan, inf at inf
-    ok = (_E_MIN <= e) & (e <= _E_MAX)
-    e = np.where(ok, e, 0.0).astype(np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):  # at cells that '%' writes
-        s = a * _POW10[22 + 5 - e]
-        off = (s >= 1e6).astype(np.intp) - (s < 1e5)  # log10 misses by one next to a power of ten
+    ok = (np.finfo(float).tiny <= a) & (a <= np.finfo(float).max)
+    a = np.where(ok, a, 1.5)  # at cells that '%' writes
+    e = np.floor(np.log10(a)).astype(np.int16)
+    with np.errstate(invalid="ignore"):  # at cells whose 10**(5 - e) is inf
+        s = a * np.take(_P10, 5 - e - _K_MIN)
+        off = (s >= 1e6).astype(np.int16) - (s < 1e5)  # log10 misses by one next to a power of ten
         if off.any():
             e += off
-            ok &= (_E_MIN <= e) & (e <= _E_MAX)
-            e[~ok] = 0
-            s = a * _POW10[22 + 5 - e]
+            s = a * np.take(_P10, 5 - e - _K_MIN)
         ok &= (1e5 <= s) & (s < 1e6) & (np.abs(s - np.floor(s) - 0.5) > 1e-9)
     f = np.rint(np.where(ok, s, 1e5))
     carry = f == 1e6
@@ -179,42 +213,7 @@ def _g6(x: np.ndarray) -> np.ndarray:
         more |= digits[i] != 0
         significant += more
     digits += ord("0")
-    e = e.astype(np.int16)
-    whole = (0 <= e) & (e < 6)  # the integer part is written in full
-    scientific = (e < -4) | (e >= 6)
-    shown = np.where(whole, np.maximum(significant, e + 1), significant)
-    point = np.where(whole, np.where(significant > e + 1, e, -1), np.where(scientific & (significant > 1), 0, -1))
-    return _layout(x, ok, digits, shown, point, e, scientific, lambda v: "%.6g" % v)
-
-
-def _power_of_ten_table() -> tuple[np.ndarray, ...]:
-    """10**k = (hi + lo) * 2**j for k in [_K_MIN, _K_MAX], with hi + lo in [1, 2)
-    the 106-bit truncation of 10**k / 2**j: hi of its first 53 bits, lo of
-    the rest; exact for k in [0, 22], where 10**k / 2**j is 5**k / 2**(j - k)."""
-    hi, lo, j = [], [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if k >= 0:
-            p = 10**k
-            b = p.bit_length()
-            t = p << (106 - b) if b <= 106 else p >> (b - 106)
-            j.append(b - 1)
-        else:
-            d = 10**-k
-            b = d.bit_length()
-            t = (1 << (105 + b)) // d
-            j.append(-b)
-        hi.append(t >> 53)
-        lo.append(t & ((1 << 53) - 1))
-    return np.ldexp(np.array(hi, float), -52), np.ldexp(np.array(lo, float), -105), np.array(j)
-
-
-# The scales 10**(16 - e) of the decimal exponents e of every normal float.
-_K_MIN, _K_MAX = 16 - 308, 16 + 308
-_P10_HI, _P10_LO, _P10_EXP = _power_of_ten_table()
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves of 26 bits
-_P10_HI_A = _SPLIT * _P10_HI - (_SPLIT * _P10_HI - _P10_HI)
-_P10_HI_B = _P10_HI - _P10_HI_A
-_TENS = 10 ** np.arange(17, dtype=np.int64)
+    return _layout(x, ok, digits, significant, e, 6, 0, lambda v: "%.6g" % v)
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,9 +261,9 @@ def _repr(x: np.ndarray, text=repr) -> np.ndarray:
     mantissa, exponent = np.frexp(a)
     ok = (np.finfo(float).tiny <= a) & (a <= np.finfo(float).max) & (mantissa != 0.5)
     a, exponent = np.where(ok, a, 1.5), np.where(ok, exponent, 1)  # at cells that text writes
-    e = np.floor(np.log10(a)).astype(np.intp)
+    e = np.floor(np.log10(a)).astype(np.int16)
     hi, lo, k = _scaled(a, e)
-    off = (hi >= 1e17).astype(np.intp) - (hi < 1e16)  # log10 misses by one next to a power of ten
+    off = (hi >= 1e17).astype(np.int16) - (hi < 1e16)  # log10 misses by one next to a power of ten
     if off.any():
         e += off
         hi, lo, k = _scaled(a, e)
@@ -280,7 +279,7 @@ def _repr(x: np.ndarray, text=repr) -> np.ndarray:
     top, spread = n + high.astype(np.int64), (high - low).astype(np.int64)
     # the largest m such that a multiple of 10**m lies in [top - spread, top]: the cells
     # that have one for m - 1 are tried for m
-    dropped = np.zeros(len(a), np.intp)  # of the 17 digits
+    dropped = np.zeros(len(a), np.int16)  # of the 17 digits
     at = np.arange(len(a))
     for m in range(1, 17):
         p = _TENS[m]
@@ -307,14 +306,9 @@ def _repr(x: np.ndarray, text=repr) -> np.ndarray:
     quads[:, 4], quads[:, 3] = r % 10_000, r // 10_000
     quads[:, 2], q = q % 10_000, q // 10_000
     quads[:, 1], quads[:, 0] = q % 10_000, q // 10_000
-    shown = (17 - dropped).astype(np.int16)
-    e = e.astype(np.int16)
-    whole = (0 <= e) & (e < 16)  # written in full from its first digit: its point, and ".0" if an integer
-    scientific = (e < -4) | (e >= 16)
-    point = np.where(whole, e, np.where(scientific & (shown > 1), 0, -1))
-    shown = np.where(whole, np.maximum(shown, e + 2), shown)
     ascii_digits = np.take(_QUADS, quads, axis=0).reshape(-1, 20)[:, 3:].T
-    return _layout(x, ok, ascii_digits, shown, point, e, scientific, text)
+    # in full up to 1e16, and ".0" after an integer
+    return _layout(x, ok, ascii_digits, 17 - dropped, e, 16, 1, text)
 
 
 def _by_value(chars: np.ndarray) -> np.ndarray:
@@ -432,21 +426,19 @@ def _simulation(run_cfg: RunConfig, seed_override: int | None, **changes) -> sim
     return dataclasses.replace(run_cfg.simulation, **changes)
 
 
-def _simulate_blocks(run_cfg: RunConfig, result: simulator.SimResult) -> list[Block]:
-    ref = analytic.age_report(run_cfg.system).streams
-    stream, rate, prob, avg, peak = _fields(ref, ("stream", "rate", "prob", "avg_age", "peak_age"))
-    return [((len(ref),), [stream, rate, prob, *_fields(result.streams, _FIELDS_SE), avg, peak])]
-
-
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
     params = _simulation(run_cfg, seed_override)
+    # a system that the closed forms refuse fails before it is simulated
+    ref = analytic.age_report(run_cfg.system).streams
+    stream, rate, prob, avg, peak = _fields(ref, ("stream", "rate", "prob", "avg_age", "peak_age"))
     trace_path = trace_path or run_cfg.output.trace_path
     columns = ("stream", "lambda_i", "p_i", *_COLUMNS_SE, "ref_avg_age", "ref_peak_age")
     # the trace is written as it is simulated, and kept only if the command succeeds
     with contextlib.nullcontext() if trace_path is None else _atomic_file(trace_path) as fh:
         trace = None if fh is None else _trace_writer(fh, run_cfg.system.num_streams)
         result = simulator.run(params, trace)
-        _emit_table(columns, _simulate_blocks(run_cfg, result), run_cfg.output)
+        values = [stream, rate, prob, *_fields(result.streams, _FIELDS_SE), avg, peak]
+        _emit_table(columns, [((len(ref),), values)], run_cfg.output)
     return 0
 
 

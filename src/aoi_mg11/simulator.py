@@ -345,9 +345,13 @@ def _tally_metrics(t: PerStreamTally) -> dict[str, float]:
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
-    """Mean across replications, with its standard error (0 for one replication)."""
+    """Mean across replications, with its standard error (0 for one replication).
+    std squares the values scaled by the power of two that brings the largest
+    into [0.5, 1), and the error is scaled back: exact, so the error is in the
+    float range wherever it is itself."""
     vals = np.array(values)
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    m = np.frexp(np.max(np.abs(vals)))[1]
+    se = float(np.ldexp(np.ldexp(vals, -m).std(ddof=1), m) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return float(vals.mean()), se
 
 

@@ -38,9 +38,12 @@ def test_kernel_writes_what_percent_writes(values):
 
 
 def _around_powers_of_ten():
-    for k in range(-20, 31):  # the kernel writes exponents -17 to 27 itself
+    # every power of ten of a normal float; below about 1e-303, 10**(5 - e) overflows and '%' writes the cell
+    for k in range(-307, 309):
         p = float(f"1e{k}")
         yield from (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))
+    yield from np.geomspace(1e-305, 1e-301, 41)
+    yield from (float(f"{d}e-304") for d in (9.999995, 9.999994999, 9.99999, 1.000005))
 
 
 EDGES = [
@@ -71,6 +74,22 @@ def test_kernel_on_random_bits_and_near_ties():
     scaled = digits * np.array([float(f"1e{k}") for k in rng.integers(-22, 23, 100_000)])
     values = np.concatenate([bits, -bits, scaled]).tolist()
     assert g6(values) == ["%.6g" % v for v in values]
+
+
+def test_kernel_writes_the_normal_floats_above_1e_303_itself(monkeypatch):
+    # a kernel that left every cell to '%' would pass the tests above, but not this one
+    left = []
+    layout = cli._layout
+
+    def spy(x, ok, *args):
+        left.extend(x[~ok].tolist())
+        return layout(x, ok, *args)
+
+    monkeypatch.setattr(cli, "_layout", spy)
+    values = 10.0 ** np.random.default_rng(21).uniform(-303, 308.25, 100_000)
+    values = np.concatenate([values, -values]).tolist()
+    assert g6(values) == ["%.6g" % v for v in values]
+    assert len(left) <= 1e-4 * len(values)
 
 
 def full_repr(values, text=repr) -> list[str]:
