@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import ServiceDistribution
-from .errors import InvariantViolationError, ParameterDomainError, PoleError, require
+from .errors import InvariantViolationError, ParameterDomainError, require
 
 __all__ = [
     "SystemConfig",
@@ -145,7 +145,7 @@ def interdeparture_mgf(cfg: SystemConfig, i: int, s: float) -> float:
     den = num - s
     # relative to the operands: at heavy load num is tiny but exact
     if abs(den) <= 1e-12 * max(abs(num), abs(s)):
-        raise PoleError(f"interdeparture MGF pole near s={s}")
+        raise ParameterDomainError(f"interdeparture MGF pole near s={s}")
     return num / den
 
 

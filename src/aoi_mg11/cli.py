@@ -50,7 +50,10 @@ _SWEEP_COLUMNS = ("param", "value", "stream", "source", *_COLUMNS, "delta_tot", 
 def _atomic_file(path: str) -> Iterator:
     """A text file that the with-block writes through a unique temp file in the
     same directory, renamed to path when the block ends. If anything fails, the
-    temp file is removed, and an OSError is a ConfigError naming path."""
+    temp file is removed, and an OSError is a ConfigError naming path. A
+    directory fails before the temp file is made, not at the rename."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
     directory, name = os.path.split(path)
     tmp = None
     try:
@@ -74,7 +77,7 @@ def _output(path: str | None) -> Iterator:
     """The command's output: path written atomically, or else a temp file
     copied to stdout when the with-block ends, so that a failed command writes
     nothing and the output is not held in memory. An OSError of the temp file
-    is a ConfigError."""
+    or of stdout is a ConfigError."""
     if path:
         with _atomic_file(path) as fh:
             yield fh
@@ -86,7 +89,13 @@ def _output(path: str | None) -> Iterator:
             fh.seek(0)
         except OSError as exc:
             raise ConfigError(f"cannot write stdout through a temp file: {exc.strerror or exc}") from exc
-        shutil.copyfileobj(fh, sys.stdout)
+        try:
+            shutil.copyfileobj(fh, sys.stdout)
+            sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        except OSError as exc:
+            # the rest of the output goes to devnull, so that the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 # the digits of 0 to 9999 in ASCII, four a row
@@ -428,10 +437,13 @@ def _simulation(run_cfg: RunConfig, seed_override: int | None, **changes) -> sim
 
 def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str | None) -> int:
     params = _simulation(run_cfg, seed_override)
+    trace_path, table_path = trace_path or run_cfg.output.trace_path, run_cfg.output.path
+    # the table would be renamed into the trace's file, and the trace then renamed over it
+    if trace_path and table_path and os.path.realpath(trace_path) == os.path.realpath(table_path):
+        raise ConfigError(f"the trace path {trace_path} names the table's own file")
     # a system that the closed forms refuse fails before it is simulated
     ref = analytic.age_report(run_cfg.system).streams
     stream, rate, prob, avg, peak = _fields(ref, ("stream", "rate", "prob", "avg_age", "peak_age"))
-    trace_path = trace_path or run_cfg.output.trace_path
     columns = ("stream", "lambda_i", "p_i", *_COLUMNS_SE, "ref_avg_age", "ref_peak_age")
     # the trace is written as it is simulated, and kept only if the command succeeds
     with contextlib.nullcontext() if trace_path is None else _atomic_file(trace_path) as fh:
@@ -736,7 +748,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command(args, seed_override: int | None) -> int:
+def _command(args) -> int:
+    seed_override = os.environ.get("AOI_SEED")
+    if seed_override is not None:
+        try:
+            seed_override = int(seed_override)
+        except ValueError:
+            raise ConfigError(f"AOI_SEED must be an integer, got {seed_override!r}") from None
+        if seed_override < 0:
+            raise ConfigError(f"AOI_SEED must be >= 0, got {seed_override}")
     if args.command == "optimize":
         return cmd_optimize(args)
     run_cfg = load_run_config(args.config)
@@ -757,28 +777,8 @@ def _command(args, seed_override: int | None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    seed_override = None
-    env_seed = os.environ.get("AOI_SEED")
-    if env_seed is not None:
-        try:
-            seed_override = int(env_seed)
-        except ValueError:
-            print(f"AOI_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return ConfigError.exit_code
-        if seed_override < 0:
-            print(f"AOI_SEED must be >= 0, got {seed_override}", file=sys.stderr)
-            return ConfigError.exit_code
-
     try:
-        code = _command(args, seed_override)
-        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
-        return code
-    except OSError as exc:
-        # stdout's, as every other file's is a ConfigError: the rest of the
-        # output goes to devnull, so that the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"config error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        return ConfigError.exit_code
+        return _command(args)
     except AoiError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

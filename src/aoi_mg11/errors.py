@@ -4,35 +4,24 @@ import numpy as np
 
 
 class AoiError(Exception):
-    """Base class for all package errors. The CLI prints ``label: message`` to
-    stderr and exits with ``exit_code``; an error that names no other is a
-    domain error."""
+    """Base class for all package errors: one class per exit code. The CLI
+    prints ``label: message`` to stderr and exits with ``exit_code``."""
 
-    exit_code = 3
-    label = "domain error"
+
+class ConfigError(AoiError):
+    """A run configuration file, CLI flag, environment variable or output path failed validation."""
+
+    exit_code = 2
+    label = "config error"
 
 
 class ParameterDomainError(AoiError):
-    """A parameter or evaluation point is outside its admissible domain."""
+    """A parameter or evaluation point is outside its admissible domain: a
+    pole, a singular or divergent flow graph, or too rare a conditioning
+    event included."""
 
-
-class PoleError(AoiError):
-    """A rational expression was evaluated too close to one of its poles."""
-
-
-class SingularSystemError(AoiError):
-    """The flow-graph linear system is (numerically) singular."""
-
-
-class DivergenceError(AoiError):
-    """The geometric tail of a path sum does not converge."""
-
-
-class InvariantViolationError(AoiError):
-    """An internal dual-route self-check disagreed beyond tolerance; a defect."""
-
-    exit_code = 5
-    label = "internal invariant violated"
+    exit_code = 3
+    label = "domain error"
 
 
 class InsufficientDataError(AoiError):
@@ -42,15 +31,11 @@ class InsufficientDataError(AoiError):
     label = "data error"
 
 
-class ConditioningTooRareError(AoiError):
-    """Rejection sampling accepted too few draws to be usable."""
+class InvariantViolationError(AoiError):
+    """An internal dual-route self-check disagreed beyond tolerance; a defect."""
 
-
-class ConfigError(AoiError):
-    """A run configuration file or CLI flag set failed validation."""
-
-    exit_code = 2
-    label = "config error"
+    exit_code = 5
+    label = "internal invariant violated"
 
 
 def require(ok, message: str, *values, error: type[AoiError] = ParameterDomainError) -> None:

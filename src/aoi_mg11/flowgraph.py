@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SystemConfig, clock_mgf_A, clock_mgf_B, system_time_mgf
-from .errors import (
-    DivergenceError,
-    ParameterDomainError,
-    PoleError,
-    SingularSystemError,
-)
+from .errors import ParameterDomainError
 
 __all__ = [
     "ClockProbabilities",
@@ -143,7 +138,7 @@ def transfer_function(w: EdgeWeights, pr: ClockProbabilities) -> float:
     den = left - right
     # relative to the two terms: below this, den is mostly their rounding error
     if abs(den) <= 1e-12 * max(abs(left), abs(right)):
-        raise PoleError(f"transfer function denominator {den!r} too close to 0")
+        raise ParameterDomainError(f"transfer function denominator {den!r} too close to 0")
     return num / den
 
 
@@ -161,7 +156,7 @@ def solve_transfer_by_elimination(g: FlowGraph) -> float:
     rhs = np.append(g.mat[Q0, 1:], g.exit[Q0])
     det = float(np.linalg.det(mat))
     if abs(det) < 1e-12:
-        raise SingularSystemError(f"flow-graph system is singular (det={det!r})")
+        raise ParameterDomainError(f"flow-graph system is singular (det={det!r})")
     return float(np.linalg.solve(mat, rhs)[3])
 
 
@@ -187,7 +182,7 @@ def path_enumeration_oracle(
     mat_abs = np.abs(mat)
     rho = float(np.max(np.abs(np.linalg.eigvals(mat_abs))))
     if rho >= 1.0:
-        raise DivergenceError(f"path sum tail does not converge (spectral radius {rho!r})")
+        raise ParameterDomainError(f"path sum tail does not converge (spectral radius {rho!r})")
 
     # W and |W| side by side; row 0 of each is the source node
     pair = np.stack([mat, mat_abs])

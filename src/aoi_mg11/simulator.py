@@ -27,11 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import SystemConfig, age_report
-from .errors import (
-    ConditioningTooRareError,
-    InsufficientDataError,
-    ParameterDomainError,
-)
+from .errors import InsufficientDataError, ParameterDomainError
 
 __all__ = [
     "SimParams",
@@ -85,12 +81,17 @@ class SimParams:
 class PerStreamTally:
     """Running per-stream sums for one replication, after warm-up.
 
+    ``age_area`` and ``y2_sum`` are in units of ``unit``**2, the largest power
+    of two up to the replication's first horizon (and at least the smallest
+    normal float), so that they stay in the float range wherever the means
+    do; the other sums are in plain units.
     ``mgf_sums`` maps each configured probe s to the sum of e^{sY} over the
     interdeparture gaps Y.
     """
 
     stream: int
     elapsed: float
+    unit: float = 1.0
     deliveries: int = 0
     age_area: float = 0.0
     peaks_sum: float = 0.0
@@ -243,7 +244,8 @@ def _simulate_replication(
     rng_arrivals, rng_service, rng_labels, rng_trace = map(np.random.default_rng, seed_seq.spawn(4))
 
     t_w = warmup_fraction * horizon
-    tallies = [PerStreamTally(j + 1, 0.0, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(m)]
+    unit = math.ldexp(1.0, max(math.frexp(horizon)[1] - 1, -1022))
+    tallies = [PerStreamTally(j + 1, 0.0, unit, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(m)]
     # each stream's last delivery (time, generation time); a virtual delivery
     # at the origin starts the age at 0, but opens no interdeparture gap
     last = [(0.0, 0.0)] * m
@@ -283,9 +285,9 @@ def _simulate_replication(
     for t, (last_td, last_gen) in zip(tallies, last):
         t.elapsed = horizon - t_w
         tail0 = max(last_td, t_w)
-        tail_w = horizon - tail0
+        tail_w = (horizon - tail0) / unit
         if tail_w > 0:
-            t.age_area += tail_w * (tail0 - last_gen) + 0.5 * tail_w * tail_w
+            t.age_area += tail_w * ((tail0 - last_gen) / unit) + 0.5 * tail_w * tail_w
     return tallies, horizon
 
 
@@ -307,11 +309,12 @@ def _tally(tallies, last, delivered_before, t_w, d_done, d_arr, d_services, d_la
         if k == len(t_d):
             continue
         t_d, prev_td, prev_gen, svc = t_d[k:], prev_td[k:], prev_gen[k:], svc[k:]
-        # exact sawtooth area; segments straddling the warm-up boundary
-        # are clipped at t_w
+        # exact sawtooth area, in units of t.unit**2; segments straddling the
+        # warm-up boundary are clipped at t_w
+        scale = 1.0 / t.unit  # exact: a power of two
         x0 = np.maximum(prev_td, t_w)
-        width = t_d - x0
-        t.age_area += float(np.sum(width * (x0 - prev_gen) + 0.5 * width * width))
+        width = (t_d - x0) * scale
+        t.age_area += float(np.sum(width * ((x0 - prev_gen) * scale) + 0.5 * width * width))
         t.deliveries += len(t_d)
         t.t_sum += float(svc.sum())
 
@@ -322,7 +325,8 @@ def _tally(tallies, last, delivered_before, t_w, d_done, d_arr, d_services, d_la
         t.peaks_sum += float(np.sum(t_d - prev_gen))
         t.peaks_count += len(ys)
         t.y_sum += float(ys.sum())
-        t.y2_sum += float(np.sum(ys * ys))
+        ys_unit = ys * scale
+        t.y2_sum += float(np.sum(ys_unit * ys_unit))
         for s, total in t.mgf_sums.items():
             t.mgf_sums[s] = total + float(np.exp(s * ys).sum())
 
@@ -333,13 +337,14 @@ def _horizon_for_count(cfg: SystemConfig, n_deliveries: int, warmup_fraction: fl
 
 
 def _tally_metrics(t: PerStreamTally) -> dict[str, float]:
-    """One replication's estimate of each StreamStats metric, by field name."""
+    """One replication's estimate of each StreamStats metric, by field name;
+    the sums in units of t.unit**2 are scaled back, exactly."""
     return {
-        "avg_age": t.age_area / t.elapsed,
+        "avg_age": t.age_area / (t.elapsed / t.unit) * t.unit,
         "peak_age": t.peaks_sum / t.peaks_count,
         "mean_system_time": t.t_sum / t.deliveries,
         "mean_interdeparture": t.y_sum / t.peaks_count,
-        "second_moment_interdeparture": t.y2_sum / t.peaks_count,
+        "second_moment_interdeparture": t.y2_sum / t.peaks_count * t.unit * t.unit,
         "delivery_rate": t.deliveries / t.elapsed,
     }
 
@@ -476,7 +481,7 @@ def clock_conditional_sampler(
             accept &= winner < rival
         kept = int(np.count_nonzero(accept))
         if (n - kept) / n > _MAX_REJECTION_RATE or kept < 2:
-            raise ConditioningTooRareError(f"clock {clock}: only {kept} of {n} draws accepted")
+            raise ParameterDomainError(f"clock {clock}: only {kept} of {n} draws accepted")
         out[clock] = _empirical_mgf(winner[accept], (0.0, -lam / 3, lam / 4))
     return out[which] if len(which) == 1 else out
 

@@ -23,7 +23,7 @@ from aoi_mg11.analytic import (
     system_time_mgf,
 )
 from aoi_mg11.distributions import Deterministic, Exponential, Gamma, Uniform
-from aoi_mg11.errors import InvariantViolationError, ParameterDomainError, PoleError
+from aoi_mg11.errors import InvariantViolationError, ParameterDomainError
 
 from conftest import random_system_config
 
@@ -107,7 +107,7 @@ class TestMgfs:
 
     def test_interdeparture_pole(self):
         # lam_1 * P(lam - s) = s has a root between 0 and lam_1
-        with pytest.raises(PoleError):
+        with pytest.raises(ParameterDomainError, match="^interdeparture MGF pole near s="):
             # find the pole numerically, then evaluate there
             s = 0.0
             for _ in range(200):

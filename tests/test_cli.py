@@ -227,6 +227,36 @@ class TestSimulate:
         # the trace file is opened before the simulation starts
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @staticmethod
+    def no_simulation(monkeypatch):
+        def run(*args):
+            raise AssertionError("simulated a run whose output cannot be written")
+
+        monkeypatch.setattr(cli.simulator, "run", run)
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    def test_trace_that_names_the_table(self, tmp_path, monkeypatch, capsys, flag):
+        # the table would be renamed into the file, and the trace renamed over
+        # it; the trace names the file by a relative path, the table by its full one
+        monkeypatch.chdir(tmp_path)
+        self.no_simulation(monkeypatch)
+        cfg = self.simulate_cfg(tmp_path, tmp_path / "sim.csv", max_time=200.0, trace_path=None if flag else "./sim.csv")
+        assert main(["simulate", "-c", cfg, *(["--trace", "./sim.csv"] if flag else [])]) == 2
+        assert capsys.readouterr() == ("", "config error: the trace path ./sim.csv names the table's own file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("table", ["stdout", "file"])
+    def test_trace_that_is_a_directory(self, tmp_path, monkeypatch, capsys, table):
+        self.no_simulation(monkeypatch)
+        out, trace = tmp_path / "sim.csv", tmp_path / "trace_dir"
+        trace.mkdir()
+        output = {"path": str(out)} if table == "file" else {}
+        cfg = write_config(tmp_path, system=REF_SYSTEM, simulation={"max_time": 200.0, "seed": 1}, output=output)
+        assert main(["simulate", "-c", cfg, "--trace", str(trace)]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write {trace}: Is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "trace_dir"]
+        assert list(trace.iterdir()) == []
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out = tmp_path / "sim.csv"
         cfg = self.simulate_cfg(tmp_path, out)
@@ -246,12 +276,12 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("config error: simulation: seed must be >= 0")
         monkeypatch.setenv("AOI_SEED", "-1")
         assert main(["validate", "-c", write_config(tmp_path, name="v.json", system=REF_SYSTEM)]) == 2
-        assert capsys.readouterr().err == "AOI_SEED must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "config error: AOI_SEED must be >= 0, got -1\n"
 
     def test_non_integer_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("AOI_SEED", "x")
         assert main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM)]) == 2
-        assert capsys.readouterr() == ("", "AOI_SEED must be an integer, got 'x'\n")
+        assert capsys.readouterr() == ("", "config error: AOI_SEED must be an integer, got 'x'\n")
 
 
 def _system(**changes):
@@ -840,6 +870,15 @@ class TestAtomicWrites:
         err = capsys.readouterr().err
         assert f"config error: cannot write {out}: No such file or directory" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_output_directory_as_path(self, tmp_path, capsys):
+        out = tmp_path / "report_dir"
+        out.mkdir()
+        cfg = write_config(tmp_path, system=REF_SYSTEM, output={"path": str(out)})
+        assert main(["analyze", "-c", cfg]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write {out}: Is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report_dir"]
+        assert list(out.iterdir()) == []
 
     def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
         def fail(src, dst):

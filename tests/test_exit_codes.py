@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoi_mg11 import errors
 from aoi_mg11.cli import _service_dest, main
 from aoi_mg11.distributions import CONFIG_FIELDS, Uniform
-from aoi_mg11.errors import ParameterDomainError
+from aoi_mg11.errors import AoiError, ParameterDomainError
 
 # JSON values a number field must reject
 WILD = st.one_of(
@@ -270,3 +271,10 @@ def test_a_full_stdout_is_a_config_error(tmp_path, argv):
     err = proc.stderr.decode()
     assert proc.returncode == 2
     assert err == "config error: cannot write stdout: No space left on device\n"
+
+
+def test_one_error_class_per_exit_code():
+    # main ends every failure in one handler; a class is told apart only by its code and label
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, AoiError) and c is not AoiError]
+    assert sorted(c.exit_code for c in classes) == [2, 3, 4, 5]
+    assert len({c.label for c in classes}) == len(classes)

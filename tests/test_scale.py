@@ -4,7 +4,9 @@ value at 2**0 times 2**(d * k), where d is the value's dimension in rates
 (+1 for a rate, -1 for an age or a time, -2 for E[Y^2], 0 for a
 probability), and each validate check keeps its PASS or FAIL."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -43,6 +45,8 @@ COLUMN_DIMS = {
     "delivery_rate": 1,
     "ref_avg_age": -1,
     "ref_peak_age": -1,
+    "delta_tot": -1,
+    "delta_peak_tot": -1,
 }
 FIELD_DIMS = {
     "avg_age": -1,
@@ -87,13 +91,13 @@ def outputs(law: str, k: int) -> dict:
     return out
 
 
-def assert_scaled(table: dict, base: dict, k: int) -> None:
+def assert_scaled(table: dict, base: dict, k: int, dims: dict = COLUMN_DIMS) -> None:
     assert table["columns"] == base["columns"]
     assert len(table["rows"]) == len(base["rows"])
     for row, row0 in zip(table["rows"], base["rows"]):
         for column in base["columns"]:
             if isinstance(row0[column], float):
-                assert row[column] == math.ldexp(row0[column], COLUMN_DIMS[column.removesuffix("_se")] * k), column
+                assert row[column] == math.ldexp(row0[column], dims[column.removesuffix("_se")] * k), column
             else:
                 assert row[column] == row0[column], column
 
@@ -114,6 +118,53 @@ def test_analyze_and_simulate_scale_exactly(law, k):
     for row, row0 in zip(scaled["trace"][1:], base["trace"][1:]):
         assert row[1:3] == row0[1:3]
         assert [float(row[0]), float(row[3])] == [math.ldexp(float(row0[0]), -k), math.ldexp(float(row0[3]), -k)]
+
+
+def sweeps_and_optimize(law: str, k: int) -> tuple[dict, dict]:
+    """The JSON of sweep over total_rate, p1 and the law's last field, and of
+    optimize, at 2**k; and the dimension of each sweep's value column."""
+    fields, dims = LAWS[law]
+    field = list(fields)[-1]
+    grids = {"total_rate": [0.5, 1.5, 4.0], "p1": [0.2, 0.5, 0.8], field: [fields[field] * f for f in (0.5, 1.0, 2.0)]}
+    value_dims = {"total_rate": 1, "p1": 0, field: dims[field]}
+    config = scaled_config(law, k)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        table, path = os.path.join(tmp, "table.json"), os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({**config, "output": {"format": "json", "path": table}}, fh)
+        for param, grid in grids.items():
+            values = ",".join(repr(math.ldexp(v, value_dims[param] * k)) for v in grid)
+            assert main(["sweep", "-c", path, "--param", param, "--grid", values]) == 0
+            with open(table) as fh:
+                out[param] = json.load(fh)
+    service = config["system"]["service"]
+    flags = [f"--{cli._service_dest(name).replace('_', '-')}={v!r}" for name, v in service.items() if name != "type"]
+    rate = repr(config["system"]["total_rate"])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["optimize", f"--rate={rate}", "--streams", "3", "--service", law, *flags, "--points", "20"]) == 0
+    out["optimize"] = json.loads(stdout.getvalue())
+    return out, value_dims
+
+
+@pytest.fixture(scope="module")
+def unscaled_sweeps():
+    return {law: sweeps_and_optimize(law, 0) for law in LAWS}
+
+
+@pytest.mark.parametrize("k", [100, -100, 300, -300])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_sweep_and_optimize_scale_exactly(law, k, unscaled_sweeps):
+    (base, value_dims), (scaled, _) = unscaled_sweeps[law], sweeps_and_optimize(law, k)
+    for param, d in value_dims.items():
+        assert_scaled(scaled[param], base[param], k, {**COLUMN_DIMS, "value": d})
+    optimum, optimum0 = scaled["optimize"], base["optimize"]
+    assert optimum["p_star"] == optimum0["p_star"]
+    for name in ("delta_tot_star", "delta_peak_tot_star"):
+        assert optimum[name] == math.ldexp(optimum0[name], -k), name
+    check, check0 = optimum["verification"], optimum0["verification"]
+    assert check == {**check0, "max_violation": math.ldexp(check0["max_violation"], -k)}
 
 
 def _validate(k: int) -> list[tuple[str, bool]]:
@@ -154,9 +205,11 @@ def unscaled_run():
     return _scaled_run(0)
 
 
-@pytest.mark.parametrize("k", [270, -270, 400, -400])
+@pytest.mark.parametrize("k", [270, -270, 400, -400, 505, -505])
 def test_standard_errors_are_scale_free(k, unscaled_run):
-    # at 2**270 the squares of E[Y^2]'s replication values underflow, and at 2**-270 they overflow
+    # at 2**270 the squares of E[Y^2]'s replication values underflow, and at
+    # 2**-270 they overflow; at 2**-505 the running sums of squared times
+    # would overflow, were they not kept in units of the horizon
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = _scaled_run(k)
