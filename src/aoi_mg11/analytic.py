@@ -15,9 +15,7 @@ agree, as a permanent self-check against transcription errors.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -208,17 +206,6 @@ class AgeReport:
     total_peak_age: float
 
 
-_DUAL_ROUTE_TOL = 1e-9
-# age_columns' messages: {0} is the stream, then the values the check compares
-_RANGE = "second_moment_interdeparture is outside the float range at ({1!r}, {2!r}, {3!r})"
-_ROUTES = " stream {0}: direct formula {1!r} disagrees with moment decomposition {2!r}"
-_PEAK = "peak age {1!r} not above average age {2!r} for stream {0}"
-
-
-def _disagree(direct, decomposed):
-    return np.abs(direct - decomposed) > _DUAL_ROUTE_TOL * np.abs(direct)
-
-
 def age_columns(
     total_rates: np.ndarray, stream_probs: np.ndarray, service: ServiceDistribution
 ) -> dict[str, np.ndarray]:
@@ -227,36 +214,35 @@ def age_columns(
     System g has total rate total_rates[g], the split stream_probs[g] and the service law service, whose
     fields are floats or arrays of G values (system g takes element g): P(lam) and E[S e^{-lam S}] are
     evaluated once for all G. The systems are checked as SystemConfig checks one, and P(lam) must not
-    underflow to 0. Each age is computed twice, by the direct closed form and by the sawtooth moment
-    decomposition (E[T] + E[Y^2]/(2 E[Y]) for the average, E[T] + E[Y] for the peak); the two must agree
-    to 1e-9 relative. The peak age must exceed the average, or equal it where E[T] is below 2^-53 of it
-    and so rounds away. E[Y^2] must lie in the float range. The first element, in row order, to fail a
-    check raises that check's error.
+    underflow to 0. Then, in this order: E[Y^2] must lie in the float range; each age, computed by the
+    direct closed form and by the sawtooth moment decomposition (E[T] + E[Y^2]/(2 E[Y]) for the average,
+    E[T] + E[Y] for the peak), must agree to 1e-9 relative, the average first; and the peak age must
+    exceed the average, or equal it where E[T] is below 2^-53 of it and so rounds away. The first check
+    that fails raises its error at its first failing element, in row order, whatever later checks fail
+    at earlier elements.
     """
     check_systems(total_rates, stream_probs)
     p = beats_arrival(service, total_rates)[:, None]
     ew = service.exp_weighted_mean(total_rates)[:, None]
     rates = total_rates[:, None] * stream_probs
+    streams = np.arange(1, rates.shape[1] + 1)
+    routes = " stream {}: direct formula {!r} disagrees with moment decomposition {!r}"
     with np.errstate(all="ignore"):  # values outside the float range fail the first check
         e_t = _mean_system_time(p, ew)
         e_y2 = _second_moment_interdeparture(rates, p, ew)
         e_y = _mean_interdeparture(rates, p)
         delta = _avg_age(rates, p)
         delta_pk = _peak_age(rates, p, ew)
+        in_range = (0.0 < e_y2) & (e_y2 < math.inf)
+        require(in_range, "second_moment_interdeparture is outside the float range at ({!r}, {!r}, {!r})", rates, p, ew)
         avg_route, peak_route = e_t + e_y2 / (2.0 * e_y), e_t + e_y
-        rounds_away = (delta_pk == delta) & (e_t / delta < 2.0**-53)
-        # (where it fails, error, message, values compared), in the order an element meets them
-        checks = (
-            (~((0.0 < e_y2) & (e_y2 < math.inf)), ParameterDomainError, _RANGE, (rates, p, ew)),
-            (_disagree(delta, avg_route), InvariantViolationError, "avg_age" + _ROUTES, (delta, avg_route)),
-            (_disagree(delta_pk, peak_route), InvariantViolationError, "peak_age" + _ROUTES, (delta_pk, peak_route)),
-            (~((delta_pk > delta) | rounds_away), InvariantViolationError, _PEAK, (delta_pk, delta)),
-        )
-    bad = functools.reduce(operator.or_, (check[0] for check in checks))
-    if bad.any():
-        g, j = np.unravel_index(np.argmax(bad), bad.shape)
-        _, error, message, values = next(check for check in checks if check[0][g, j])
-        raise error(message.format(j + 1, *(np.broadcast_to(v, bad.shape)[g, j].item() for v in values)))
+        ok = ~(np.abs(delta - avg_route) > 1e-9 * np.abs(delta))
+        require(ok, "avg_age" + routes, streams, delta, avg_route, error=InvariantViolationError)
+        ok = ~(np.abs(delta_pk - peak_route) > 1e-9 * np.abs(delta_pk))
+        require(ok, "peak_age" + routes, streams, delta_pk, peak_route, error=InvariantViolationError)
+        ok = (delta_pk > delta) | ((delta_pk == delta) & (e_t / delta < 2.0**-53))
+        peak = "peak age {!r} not above average age {!r} for stream {}"
+        require(ok, peak, delta_pk, delta, streams, error=InvariantViolationError)
     return {
         "rate": rates,
         "prob": stream_probs,

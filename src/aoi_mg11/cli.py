@@ -374,32 +374,32 @@ def _lines(separators: list[str], cells: list[np.ndarray], shape: tuple[int, ...
 Block = tuple[tuple[int, ...], list]
 
 
-def _emit_table(columns: tuple[str, ...], blocks: Iterable[Block], out) -> None:
-    """Write a table as CSV (6 significant digits) or JSON (full precision), a
-    block of rows at a time; the rows come in blocks, a (shape, values) pair as
-    _block_cells takes. CSV writes floats as '%.6g' % v, None as an empty cell
-    and any other value as str(v). The JSON bytes are those of
-    json.dumps({"columns": columns, "rows": rows}, indent=2) of a table with
-    rows: floats through _repr, which json.dumps writes as repr does."""
-    with _output(out.path) as fh:
-        if out.format == "csv":
-            fh.write(",".join(columns) + "\n")
-            separators = ["", *[","] * (len(columns) - 1), "\n"]
-            for shape, values in blocks:
-                values = ["" if v is None else v for v in values]
-                fh.write(_lines(separators, _block_cells(values, shape, _g6, str), shape))
-        else:
-            # {"columns": ...} without its closing "\n}", then the opening of "rows"
-            fh.write(json.dumps({"columns": columns}, indent=2)[:-2] + ',\n  "rows": [')
-            # a row after the one before it; the first row of the table drops the comma
-            keys = [f"\n      {json.dumps(c)}: " for c in columns]
-            separators = [",\n    {" + keys[0], *(",%s" % key for key in keys[1:]), "\n    }"]
-            first = 1
-            for shape, values in blocks:
-                cells = _block_cells(values, shape, lambda x: _repr(x, json.dumps), json.dumps)
-                fh.write(_lines(separators, cells, shape)[first:])
-                first = 0
-            fh.write("\n  ]\n}\n")
+def _emit_table(columns: tuple[str, ...], blocks: Iterable[Block], fmt: str, fh) -> None:
+    """Write a table to the open file fh, as CSV (6 significant digits) if fmt
+    is "csv" and else as JSON (full precision), a block of rows at a time; the
+    rows come in blocks, a (shape, values) pair as _block_cells takes. CSV
+    writes floats as '%.6g' % v, None as an empty cell and any other value as
+    str(v). The JSON bytes are those of json.dumps({"columns": columns, "rows":
+    rows}, indent=2) of a table with rows: floats through _repr, which
+    json.dumps writes as repr does."""
+    if fmt == "csv":
+        fh.write(",".join(columns) + "\n")
+        separators = ["", *[","] * (len(columns) - 1), "\n"]
+        for shape, values in blocks:
+            values = ["" if v is None else v for v in values]
+            fh.write(_lines(separators, _block_cells(values, shape, _g6, str), shape))
+    else:
+        # {"columns": ...} without its closing "\n}", then the opening of "rows"
+        fh.write(json.dumps({"columns": columns}, indent=2)[:-2] + ',\n  "rows": [')
+        # a row after the one before it; the first row of the table drops the comma
+        keys = [f"\n      {json.dumps(c)}: " for c in columns]
+        separators = [",\n    {" + keys[0], *(",%s" % key for key in keys[1:]), "\n    }"]
+        first = 1
+        for shape, values in blocks:
+            cells = _block_cells(values, shape, lambda x: _repr(x, json.dumps), json.dumps)
+            fh.write(_lines(separators, cells, shape)[first:])
+            first = 0
+        fh.write("\n  ]\n}\n")
 
 
 def _fields(objects, names: tuple[str, ...]) -> list[np.ndarray]:
@@ -422,7 +422,9 @@ def _analyze_blocks(cfg: SystemConfig) -> list[Block]:
 
 
 def cmd_analyze(run_cfg: RunConfig) -> int:
-    _emit_table(("stream", "lambda_i", "p_i", *_COLUMNS), _analyze_blocks(run_cfg.system), run_cfg.output)
+    blocks = _analyze_blocks(run_cfg.system)  # a system that the closed forms refuse fails before the output
+    with _output(run_cfg.output.path) as fh:
+        _emit_table(("stream", "lambda_i", "p_i", *_COLUMNS), blocks, run_cfg.output.format, fh)
     return 0
 
 
@@ -445,12 +447,15 @@ def cmd_simulate(run_cfg: RunConfig, seed_override: int | None, trace_path: str 
     ref = analytic.age_report(run_cfg.system).streams
     stream, rate, prob, avg, peak = _fields(ref, ("stream", "rate", "prob", "avg_age", "peak_age"))
     columns = ("stream", "lambda_i", "p_i", *_COLUMNS_SE, "ref_avg_age", "ref_peak_age")
-    # the trace is written as it is simulated, and kept only if the command succeeds
-    with contextlib.nullcontext() if trace_path is None else _atomic_file(trace_path) as fh:
-        trace = None if fh is None else _trace_writer(fh, run_cfg.system.num_streams)
-        result = simulator.run(params, trace)
+    # both outputs are opened before the simulation; the trace, written as it is simulated, is renamed after the table
+    with contextlib.nullcontext() if trace_path is None else _atomic_file(trace_path) as fh, _output(table_path) as table:
+        try:  # the trace's write errors, which the table's handler would report as its own
+            trace = None if fh is None else _trace_writer(fh, run_cfg.system.num_streams)
+            result = simulator.run(params, trace)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {trace_path}: {exc.strerror or exc}") from exc
         values = [stream, rate, prob, *_fields(result.streams, _FIELDS_SE), avg, peak]
-        _emit_table(columns, [((len(ref),), values)], run_cfg.output)
+        _emit_table(columns, [((len(ref),), values)], run_cfg.output.format, table)
     return 0
 
 
@@ -588,9 +593,11 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None):
 
 
 def cmd_validate(run_cfg: RunConfig, seed_override: int | None) -> int:
-    checks = _run_validation(run_cfg, seed_override)
-    n_fail = sum(1 for c in checks if not c["passed"])
-    with _output(None) as fh:
+    path = run_cfg.output.path
+    # both outputs are opened before the checks; the report is renamed before stdout is written
+    with _output(None) as fh, contextlib.nullcontext() if not path else _atomic_file(path) as report:
+        checks = _run_validation(run_cfg, seed_override)
+        n_fail = sum(1 for c in checks if not c["passed"])
         for c in checks:
             status = "PASS" if c["passed"] else "FAIL"
             fh.write(
@@ -598,10 +605,8 @@ def cmd_validate(run_cfg: RunConfig, seed_override: int | None) -> int:
                 % (status, c["name"], c["observed"], c["expected"], c["delta"], c["tolerance"])
             )
         fh.write(f"{len(checks) - n_fail}/{len(checks)} checks passed\n")
-        # written before stdout, so that a report that cannot be written prints nothing
-        if run_cfg.output.path:
-            with _atomic_file(run_cfg.output.path) as report:
-                report.write(json.dumps({"checks": checks}, indent=2) + "\n")
+        if report:
+            report.write(json.dumps({"checks": checks}, indent=2) + "\n")
     return InvariantViolationError.exit_code if n_fail else 0
 
 
@@ -716,7 +721,8 @@ def _sweep_blocks(run_cfg: RunConfig, param: str, grid: list[float], with_sim: b
 def cmd_sweep(run_cfg: RunConfig, param: str, grid: list[float], with_sim: bool, seed_override) -> int:
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
-    _emit_table(_SWEEP_COLUMNS, _sweep_blocks(run_cfg, param, grid, with_sim, seed_override), run_cfg.output)
+    with _output(run_cfg.output.path) as fh:
+        _emit_table(_SWEEP_COLUMNS, _sweep_blocks(run_cfg, param, grid, with_sim, seed_override), run_cfg.output.format, fh)
     return 0
 
 

@@ -141,15 +141,12 @@ def priority_frontier(
     columns = _checked_columns(lam, dist, probs)
     rows = list(zip(grid, columns["avg_age"][:, i - 1].tolist(), columns["total_avg_age"].tolist()))
 
-    ordered = sorted(rows)
-    for (g0, d0, t0), (g1, d1, t1) in zip(ordered, ordered[1:]):
-        if g1 > g0 and not d1 < d0:
-            raise InvariantViolationError(
-                f"stream age not strictly decreasing: {d0!r} at p={g0} vs {d1!r} at p={g1}"
-            )
-        # total age is convex in p_i with its minimum at 1/m
-        if g1 <= 1.0 / m and g1 > g0 and not t1 <= t0:
-            raise InvariantViolationError("total age not decreasing below the fair point")
-        if g0 >= 1.0 / m and g1 > g0 and not t1 >= t0:
-            raise InvariantViolationError("total age not increasing above the fair point")
+    # consecutive rows in p_i order; the total age is convex in p_i with its minimum at 1/m
+    ordered = np.array(sorted(rows)).T
+    (g0, d0, t0), (g1, d1, t1) = ordered[:, :-1], ordered[:, 1:]
+    rises, fair, error = g1 > g0, 1.0 / m, InvariantViolationError
+    message = "stream age not strictly decreasing: {!r} at p={} vs {!r} at p={}"
+    require(~rises | (d1 < d0), message, d0, g0, d1, g1, error=error)
+    require(~rises | (g1 > fair) | (t1 <= t0), "total age not decreasing below the fair point", error=error)
+    require(~rises | (g0 < fair) | (t1 >= t0), "total age not increasing above the fair point", error=error)
     return rows

@@ -247,6 +247,40 @@ class TestPeakAboveAverage:
             age_report(SystemConfig(1.0, (1.0,), Exponential(1e12)))
 
 
+def skewed_avg_age(monkeypatch, stream: int) -> None:
+    """Plant an error 1e-6 relative in the direct average age of one stream."""
+    correct = analytic._avg_age
+
+    def skewed(li, p):
+        ages = correct(li, p)
+        ages[..., stream - 1] *= 1.0 + 1e-6
+        return ages
+
+    monkeypatch.setattr(analytic, "_avg_age", skewed)
+
+
+class TestCheckMessages:
+    def test_route_error_names_its_stream_and_values(self, monkeypatch):
+        row = age_report(REF).streams[1]
+        direct = row.avg_age * (1.0 + 1e-6)
+        decomposed = row.mean_system_time + row.second_moment_interdeparture / (2.0 * row.mean_interdeparture)
+        skewed_avg_age(monkeypatch, 2)
+        with pytest.raises(InvariantViolationError) as info:
+            age_report(REF)
+        assert str(info.value) == (
+            f"avg_age stream 2: direct formula {direct!r} disagrees with moment decomposition {decomposed!r}"
+        )
+
+    def test_earlier_check_wins_over_earlier_stream(self, monkeypatch):
+        # E[Y^2] = 2 / (lam_2 P)^2 overflows at stream 2, and a route error is
+        # planted at stream 1: the range check comes first
+        cfg = SystemConfig(1.0, (1.0, 1e-160), Exponential(1.0))
+        skewed_avg_age(monkeypatch, 1)
+        with pytest.raises(ParameterDomainError) as info:
+            age_report(cfg)
+        assert str(info.value) == "second_moment_interdeparture is outside the float range at (1e-160, 0.5, 0.25)"
+
+
 class TestRandomConfigProperties:
     def test_dual_routes_and_numeric_moments(self, rng):
         for _ in range(100):

@@ -257,6 +257,17 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "trace_dir"]
         assert list(trace.iterdir()) == []
 
+    def test_table_that_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        # the table is opened before the simulation, as the trace is
+        self.no_simulation(monkeypatch)
+        out = tmp_path / "out_dir"
+        out.mkdir()
+        cfg = self.simulate_cfg(tmp_path, out, max_time=200.0)
+        assert main(["simulate", "-c", cfg, "--trace", str(tmp_path / "trace.csv")]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write {out}: Is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out_dir"]
+        assert list(out.iterdir()) == []
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out = tmp_path / "sim.csv"
         cfg = self.simulate_cfg(tmp_path, out)
@@ -454,6 +465,19 @@ class TestValidate:
         checks = json.loads(report.read_text())["checks"]
         assert len(checks) == 50
         assert [c["passed"] for c in checks] == [not c["name"].startswith("transfer_function[") for c in checks]
+
+    def test_report_that_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        # the report is opened before the checks run
+        def no_checks(*args):
+            raise AssertionError("checked a system whose report cannot be written")
+
+        monkeypatch.setattr(cli, "_run_validation", no_checks)
+        report = tmp_path / "report_dir"
+        report.mkdir()
+        assert main(["validate", "-c", self.validate_cfg(tmp_path, report)]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write {report}: Is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report_dir"]
+        assert list(report.iterdir()) == []
 
     def test_positive_probe_rejected(self, tmp_path, capsys):
         cfg = self.validate_cfg(tmp_path, probes=(0.9 * 1.5,))

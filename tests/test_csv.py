@@ -3,6 +3,7 @@ repr kernel against repr, each CSV table against '%.6g' of the same
 command's JSON output, and each JSON table against json.dumps."""
 
 import contextlib
+import io
 import json
 import math
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from aoi_mg11 import cli
 from aoi_mg11.cli import main
-from aoi_mg11.config import OutputSettings, load_run_config
+from aoi_mg11.config import load_run_config
 
 
 @pytest.fixture(autouse=True)
@@ -157,7 +158,7 @@ def test_repr_kernel_writes_arrival_times_itself():
     assert len(written) <= 0.01 * len(times)
 
 
-def test_json_table_is_json_dumps(tmp_path):
+def test_json_table_is_json_dumps():
     columns = ("name", "count", "x", "y", "z")
     blocks = [
         ((2, 3), ["a", np.array([[1], [2]]), np.array([0.1, -2.5e-7, 1e300]), None, np.array([[math.nan], [1.0]])]),
@@ -168,9 +169,9 @@ def test_json_table_is_json_dumps(tmp_path):
     for shape, values in blocks:
         cells = [np.broadcast_to(np.asarray(v, dtype=object), shape).ravel().tolist() for v in values]
         rows += [dict(zip(columns, row)) for row in zip(*cells)]
-    out = tmp_path / "table.json"
-    cli._emit_table(columns, blocks, OutputSettings(format="json", path=str(out), trace_path=None))
-    assert out.read_text() == json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+    fh = io.StringIO()
+    cli._emit_table(columns, blocks, "json", fh)
+    assert fh.getvalue() == json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
 
 
 def csv_of_json(text: str) -> str:

@@ -103,8 +103,8 @@ def _pinned_env() -> dict[str, str]:
     avx512 = [
         f for f in umath.__cpu_dispatch__ if (f.startswith("AVX512") or f == "X86_V4") and umath.__cpu_features__.get(f)
     ]
-    path = [str(Path(cli.__file__).parents[1])] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512), "PYTHONPATH": os.pathsep.join(path)}
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512), "PYTHONPATH": path}
     env.pop("AOI_SEED", None)
     return env
 

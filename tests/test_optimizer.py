@@ -156,6 +156,26 @@ class TestPriorityFrontier:
             assert age_i < uniform_age
             assert tot > star
 
+    @pytest.mark.parametrize(
+        "grid, ages, totals, message",
+        [
+            ((0.2, 0.5), [1.0, 2.0], [5.0, 4.0], "stream age not strictly decreasing: 1.0 at p=0.2 vs 2.0 at p=0.5"),
+            ((0.1, 0.2), [2.0, 1.0], [5.0, 6.0], "total age not decreasing below the fair point"),
+            ((0.5, 0.6), [2.0, 1.0], [6.0, 5.0], "total age not increasing above the fair point"),
+        ],
+        ids=["age_rises", "total_rises_below_fair", "total_falls_above_fair"],
+    )
+    def test_planted_violation(self, monkeypatch, grid, ages, totals, message):
+        # the rows are checked in p order, whatever the order of the grid
+        def planted(lam, dist, probs):
+            assert probs[:, 0].tolist() == list(grid[::-1])
+            return {"avg_age": np.array(ages[::-1])[:, None], "total_avg_age": np.array(totals[::-1])}
+
+        monkeypatch.setattr(optimizer, "_checked_columns", planted)
+        with pytest.raises(InvariantViolationError) as info:
+            priority_frontier(1.5, 3, Exponential(1.0), 1, grid[::-1])
+        assert str(info.value) == message
+
     def test_bad_inputs(self):
         with pytest.raises(ParameterDomainError):
             priority_frontier(1.5, 1, Exponential(1.0), 1, (0.5,))
