@@ -7,7 +7,7 @@ probability (a, b, u, v, z) and, in the flow graph, an MGF edge weight
 the interdeparture-time MGF; this module computes it three independent ways:
 
   * the closed-form rational expression,
-  * direct elimination on the flow-graph linear system,
+  * direct elimination on the flow graph's node equations,
   * a truncated sum over source-to-sink paths with a verified tail bound.
 """
 
@@ -41,22 +41,13 @@ Q0, Q1, Q1P, Q0P = range(4)
 
 @dataclass(frozen=True)
 class ClockProbabilities:
-    """Branch probabilities out of the chain's states."""
+    """Branch probabilities out of the chain's states, from a checked SystemConfig (clock_probs)."""
 
     a: float
     b: float
     u: float
     v: float
     z: float
-
-    def __post_init__(self):
-        vals = (self.a, self.b, self.u, self.v, self.z)
-        if any(not (0.0 <= x <= 1.0) for x in vals):
-            raise ParameterDomainError(f"branch probabilities must lie in [0,1], got {vals}")
-        if abs(self.a + self.z - 1.0) > 1e-12:
-            raise ParameterDomainError(f"a + z must equal 1, got {self.a + self.z!r}")
-        if abs(self.b + self.u + self.v - 1.0) > 1e-12:
-            raise ParameterDomainError(f"b + u + v must equal 1, got {self.b + self.u + self.v!r}")
 
 
 @dataclass(frozen=True)
@@ -79,22 +70,17 @@ def clock_probs(cfg: SystemConfig, i: int) -> ClockProbabilities:
     lam = cfg.total_rate
     li = cfg.stream_rate(i)
     p = cfg.service_beats_arrival()
-    return ClockProbabilities(
-        a=li / lam,
-        b=(li / lam) * (1.0 - p),
-        u=p,
-        v=((lam - li) / lam) * (1.0 - p),
-        z=(lam - li) / lam,
-    )
+    a, z = li / lam, (lam - li) / lam
+    return ClockProbabilities(a=a, b=a * (1.0 - p), u=p, v=z * (1.0 - p), z=z)
 
 
 def edge_weights(cfg: SystemConfig, s: float) -> EdgeWeights:
     """Clock MGFs at s: D1=E[e^{sA}], D2=E[e^{sB}], D3=E[e^{sU}], D4=E[e^{sV}], D5=E[e^{sZ}].
 
     A and Z share one law, as do B and V; U is distributed as the system time.
-    If the service law puts all mass at 0 (P(lam) = 1, impossible for the
-    supported variants but guarded anyway) the B/V clocks never fire and their
-    weight is set to 1.
+    Where every service beats the next arrival in floats (P(lam) == 1.0, e.g.
+    Deterministic(1e-20) at lam = 1), the B/V clocks never fire (b = v = 0)
+    and their weight is set to 1.
     """
     d1 = clock_mgf_A(cfg, s)
     d3 = system_time_mgf(cfg, s)
@@ -143,21 +129,17 @@ def transfer_function(w: EdgeWeights, pr: ClockProbabilities) -> float:
 
 
 def solve_transfer_by_elimination(g: FlowGraph) -> float:
-    """Transfer to the sink by solving the flow-graph linear system directly.
+    """Transfer to the sink from the node equations (I - mat^T) H = e_source, as exit . H.
 
-    With H(source) = 1 and H(w) = sum over incoming edges of H(src) * label,
-    the unknowns Q1, Q1P, Q0P and the sink give the 4x4 linear system
-    (I - [mat[1:, 1:]^T; exit[1:]]) H = (mat[Q0, 1:], exit[Q0]).
+    H(node) sums H(src) * label over the edges into the node, on any number of nodes. A
+    system whose 2-norm condition number exceeds 1e12 (inf for a singular one) is refused.
     """
-    inflow = np.zeros((4, 4))
-    inflow[:3, :3] = g.mat[1:, 1:].T
-    inflow[3, :3] = g.exit[1:]
-    mat = np.eye(4) - inflow
-    rhs = np.append(g.mat[Q0, 1:], g.exit[Q0])
-    det = float(np.linalg.det(mat))
-    if abs(det) < 1e-12:
-        raise ParameterDomainError(f"flow-graph system is singular (det={det!r})")
-    return float(np.linalg.solve(mat, rhs)[3])
+    eye = np.eye(len(g.exit))
+    system = eye - g.mat.T
+    cond = float(np.linalg.cond(system))
+    if not cond <= 1e12:
+        raise ParameterDomainError(f"flow-graph system is ill-conditioned (cond={cond!r})")
+    return float(g.exit @ np.linalg.solve(system, eye[Q0]))
 
 
 def path_enumeration_oracle(
@@ -169,7 +151,7 @@ def path_enumeration_oracle(
     matrix and t the exit vector, the paths of k + 1 edges sum to
     (W^k t)[source]. The partial sum S_n = sum_{k<n} W^k and the power W^n are
     built by doubling over the bits of max_edges (S_2n = S_n + W^n S_n, and
-    S_n+1 = S_n + W^n), about 2 log2(max_edges) 4x4 products in all; no linear
+    S_n+1 = S_n + W^n), about 2 log2(max_edges) matrix products in all; no linear
     solve of the flow graph is involved. Returns (partial_sum, tail_bound)
     where tail_bound is the exact sum of |label products| over all discarded
     longer paths, computed from the geometric tail of the absolute-value
@@ -187,7 +169,8 @@ def path_enumeration_oracle(
     # W and |W| side by side; row 0 of each is the source node
     pair = np.stack([mat, mat_abs])
     partial = np.zeros_like(pair)
-    power = np.stack([np.eye(4), np.eye(4)])
+    eye = np.eye(len(exit_vec))
+    power = np.stack([eye, eye])
     for bit in bin(max_edges)[2:]:
         partial += power @ partial
         power = power @ power
@@ -196,5 +179,5 @@ def path_enumeration_oracle(
             power = power @ pair
     total = float(partial[0, 0] @ exit_vec)
     # sum over paths with > max_edges edges, all labels in absolute value
-    tail = float(power[1, 0] @ np.linalg.solve(np.eye(4) - mat_abs, np.abs(exit_vec)))
+    tail = float(power[1, 0] @ np.linalg.solve(eye - mat_abs, np.abs(exit_vec)))
     return total, tail

@@ -526,8 +526,11 @@ CLOCK_CHECKS = [
         ([0.5, 0.3, 0.2], ORACLE_CHECKS + NUMERIC_CHECKS + ["dual_route_decomposition"] + CLOCK_CHECKS),
         # one stream has no foreign arrivals, so no V or Z clock
         ([1.0], ORACLE_CHECKS[:9] + NUMERIC_CHECKS[:3] + ["dual_route_decomposition"] + CLOCK_CHECKS[:9]),
+        # a split within SystemConfig's 1e-12 of 1: the branch probabilities
+        # a = 1 + 5e-13 and v, z of -3e-13, -5e-13 are checked as they are
+        ([1.0000000000005], ORACLE_CHECKS[:9] + NUMERIC_CHECKS[:3] + ["dual_route_decomposition"] + CLOCK_CHECKS[:9]),
     ],
-    ids=["three_streams", "one_stream"],
+    ids=["three_streams", "one_stream", "one_stream_rounded_split"],
 )
 def test_validate_keeps_every_check(tmp_path, probs, names):
     # every clock is read from one draw, and each keeps its own three checks
