@@ -51,19 +51,24 @@ def _atomic_file(path: str) -> Iterator:
     """A text file that the with-block writes through a unique temp file in the
     same directory, renamed to path when the block ends. If anything fails, the
     temp file is removed, and an OSError is a ConfigError naming path. A
-    directory fails before the temp file is made, not at the rename."""
+    symlink is followed, so the link stays and its target is written; a path
+    that is a directory, or any other file that is not a regular one, fails
+    before the temp file is made, not at the rename."""
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: Is a directory")
-    directory, name = os.path.split(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ConfigError(f"cannot write {path}: not a regular file")
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or ".")
+        fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
             os.unlink(tmp)
@@ -663,7 +668,7 @@ def _sweep_block(base: SystemConfig, param: str, values: list[float]):
             idx = int(param[1:])
         except ValueError:
             idx = -1
-        if not 1 <= idx <= m:
+        if not 1 <= idx <= m or param != f"p{idx}":
             raise ConfigError(f"sweep parameter {param!r} does not name a stream probability")
         if m < 2:
             raise ConfigError("sweeping a stream probability needs at least two streams")

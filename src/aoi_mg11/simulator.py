@@ -144,8 +144,19 @@ class SimResult:
 
 
 def _labels(rng: np.random.Generator, probs: tuple[float, ...], n: int) -> np.ndarray:
-    """Streams (0-based) of n arrivals, i.i.d. with the probabilities probs."""
-    return rng.choice(len(probs), n, p=probs).astype(np.min_scalar_type(len(probs)))
+    """Streams (0-based) of n arrivals, i.i.d. with the probabilities probs:
+    rng.choice(len(probs), n, p=probs)'s labels and generator state, as the count
+    of the normalised CDF's breakpoints at or below one uniform per label."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    labels = np.zeros(n, dtype=np.min_scalar_type(len(probs)))
+    for lo in range(0, len(probs) - 1, 255):  # a uint8 count adds fastest, and 255 breakpoints cannot wrap it
+        count = np.zeros(n, dtype=np.uint8)
+        for c in cdf[:-1][lo : lo + 255]:
+            count += (u >= c).view(np.uint8)
+        labels += count
+    return labels
 
 
 # Arrivals simulated at a time. It sets the memory of a replication, whatever
@@ -170,7 +181,11 @@ def _sample_path(
     delivered arrivals, with their delivery and service times. The chunk's
     other arrays are freed when it returns.
     """
-    times = np.cumsum(np.concatenate(([carry], rng_arrivals.exponential(1.0 / cfg.total_rate, size))))
+    times = np.empty(size + 1)
+    times[0] = carry
+    rng_arrivals.standard_exponential(out=times[1:])  # exponential(scale) draws scale times these bits
+    times[1:] *= 1.0 / cfg.total_rate
+    np.cumsum(times, out=times)
     arr = times[first:-1]
     services = np.asarray(cfg.service.sample(rng_service, len(arr)), dtype=float)
     done = arr + services

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -267,6 +268,33 @@ class TestSimulate:
         assert capsys.readouterr() == ("", f"config error: cannot write {out}: Is a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out_dir"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fifo_name", ["trace.csv", "sim.csv"], ids=["trace", "table"])
+    def test_output_that_is_a_fifo(self, tmp_path, monkeypatch, capsys, fifo_name):
+        # a FIFO, like a device, is not replaced by a regular file, and fails
+        # before the simulation as a directory does
+        self.no_simulation(monkeypatch)
+        out, trace, fifo = tmp_path / "sim.csv", tmp_path / "trace.csv", tmp_path / fifo_name
+        os.mkfifo(fifo)
+        cfg = self.simulate_cfg(tmp_path, out, max_time=200.0)
+        assert main(["simulate", "-c", cfg, "--trace", str(trace)]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write {fifo}: not a regular file\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", fifo_name])
+
+    def test_trace_through_a_symlink(self, tmp_path):
+        # the link stays a link, and its target gets the trace
+        out, trace = tmp_path / "sim.csv", tmp_path / "trace.csv"
+        cfg = self.simulate_cfg(tmp_path, out, max_time=200.0)
+        assert main(["simulate", "-c", cfg, "--trace", str(trace)]) == 0
+        (tmp_path / "elsewhere").mkdir()
+        target, link = tmp_path / "elsewhere" / "target.csv", tmp_path / "link.csv"
+        target.write_text("old bytes")
+        link.symlink_to(target)
+        assert main(["simulate", "-c", cfg, "--trace", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == trace.read_bytes()
+        assert sorted(p.name for p in target.parent.iterdir()) == ["target.csv"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out = tmp_path / "sim.csv"
@@ -737,10 +765,23 @@ class TestSweep:
         [
             (REF_SYSTEM, "p4", "0.5", "sweep parameter 'p4' does not name a stream probability"),
             (REF_SYSTEM, "px", "0.5", "sweep parameter 'px' does not name a stream probability"),
+            (REF_SYSTEM, "p01", "0.5", "sweep parameter 'p01' does not name a stream probability"),
+            (REF_SYSTEM, "p+1", "0.5", "sweep parameter 'p+1' does not name a stream probability"),
+            (REF_SYSTEM, "p 1", "0.5", "sweep parameter 'p 1' does not name a stream probability"),
+            (_system(stream_probs=[0.1] * 10), "p1_0", "0.5", "sweep parameter 'p1_0' does not name a stream probability"),
             (_system(stream_probs=[1.0]), "p1", "0.5", "sweeping a stream probability needs at least two streams"),
             (REF_SYSTEM, "p1", "0.5,abc", "malformed grid '0.5,abc': could not convert string to float: 'abc'"),
         ],
-        ids=["p_beyond_the_streams", "p_not_a_number", "p_of_one_stream", "grid_not_a_number"],
+        ids=[
+            "p_beyond_the_streams",
+            "p_not_a_number",
+            "p_leading_zero",
+            "p_plus_sign",
+            "p_space",
+            "p_underscore",
+            "p_of_one_stream",
+            "grid_not_a_number",
+        ],
     )
     def test_flag_errors(self, tmp_path, capsys, system, param, grid, message):
         cfg = write_config(tmp_path, system=system)
@@ -906,6 +947,26 @@ class TestAtomicWrites:
         assert capsys.readouterr() == ("", f"config error: cannot write {out}: Is a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report_dir"]
         assert list(out.iterdir()) == []
+
+    def test_output_through_a_symlink(self, tmp_path):
+        # the link stays a link, and its target gets the table's bytes
+        plain, link, target = tmp_path / "plain.csv", tmp_path / "link.csv", tmp_path / "target.csv"
+        assert main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM, output={"path": str(plain)})]) == 0
+        target.write_text("old bytes")
+        link.symlink_to(target.name)
+        assert main(["analyze", "-c", write_config(tmp_path, system=REF_SYSTEM, output={"path": str(link)})]) == 0
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.csv", "plain.csv", "target.csv"]
+
+    def test_output_that_is_a_fifo(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        os.mkfifo(out)
+        cfg = write_config(tmp_path, system=REF_SYSTEM, output={"path": str(out)})
+        assert main(["analyze", "-c", cfg]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write {out}: not a regular file\n")
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.csv"]
 
     def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
         def fail(src, dst):

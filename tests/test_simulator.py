@@ -218,6 +218,39 @@ class TestLabelLaw:
         labels = simulator._labels(np.random.default_rng(1), (1.0 / m,) * m, 10)
         assert labels.dtype == np.min_scalar_type(m)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300).filter(lambda w: sum(w) > 0),
+        sizes=st.lists(st.sampled_from([0, 1, 65_536]), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32),
+    )
+    @example(weights=[1e-300, 1.0 - 1e-300], sizes=[65_536, 65_536], seed=0)
+    @example(weights=[1.0] * 300, sizes=[65_536, 1], seed=1)  # two blocks of breakpoints
+    def test_bits_and_state_are_rng_choice(self, weights, sizes, seed):
+        # the labels are rng.choice's, element for element and in the same
+        # dtype, and leave the generator where choice leaves it
+        probs = tuple((np.array(weights) / math.fsum(weights)).tolist())
+        m = len(probs)
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in sizes:
+            labels = simulator._labels(mine, probs, n)
+            expected = ref.choice(m, n, p=probs).astype(np.min_scalar_type(m))
+            assert labels.dtype == expected.dtype
+            assert np.array_equal(labels, expected)
+        assert mine.random() == ref.random()
+
+    def test_a_uniform_on_a_breakpoint_takes_the_next_stream(self):
+        # as in choice's search of the CDF, side="right"; a draw hits a
+        # breakpoint too rarely for the property above to see it
+        uniforms = np.array([0.0, 0.25, 0.5, 0.75, 0.5 - 2**-53])
+
+        class Draws:
+            def random(self, n):
+                return uniforms
+
+        labels = simulator._labels(Draws(), (0.25, 0.25, 0.5), len(uniforms))
+        assert labels.tolist() == [0, 1, 2, 2, 1] == np.searchsorted([0.25, 0.5, 1.0], uniforms, side="right").tolist()
+
     @pytest.mark.parametrize("m", [1, 3, 7])
     @pytest.mark.parametrize("traced", [False, True])
     def test_every_pass_spawns_four_children(self, m, traced):
@@ -230,6 +263,20 @@ class TestLabelLaw:
             _, horizon = simulator._simulate_replication(cfg, 50.0, seed_seq, 0.0, (), min_deliveries, sink)
             assert (horizon > 50.0) == extends
             assert seed_seq.n_children_spawned == 4
+
+
+class TestSamplePath:
+    @pytest.mark.parametrize("carry, first", [(0.0, 1), (3.25, 0)], ids=["origin", "carried"])
+    def test_arrival_times_are_the_cumulated_exponential_gaps(self, carry, first):
+        # the gaps drawn in place are rng.exponential(1 / lam)'s bits
+        size, cfg = 10_000, SystemConfig(1.7, (0.5, 0.3, 0.2), Exponential(1.0))
+        rng_arrivals = np.random.default_rng(4)
+        last, arr, *_ = simulator._sample_path(cfg, size, carry, first, rng_arrivals, np.random.default_rng(5))
+        reference = np.random.default_rng(4)
+        times = np.cumsum(np.concatenate(([carry], reference.exponential(1 / cfg.total_rate, size))))
+        assert np.array_equal(arr, times[first:-1])
+        assert last == times[-1]
+        assert rng_arrivals.random() == reference.random()
 
 
 class TestStopRules:
