@@ -497,16 +497,23 @@ def clock_conditional_sampler(
         kept = int(np.count_nonzero(accept))
         if (n - kept) / n > _MAX_REJECTION_RATE or kept < 2:
             raise ParameterDomainError(f"clock {clock}: only {kept} of {n} draws accepted")
-        out[clock] = _empirical_mgf(winner[accept], (0.0, -lam / 3, lam / 4))
+        out[clock] = _empirical_mgf(np.compress(accept, winner), (0.0, -lam / 3, lam / 4))
     return out[which] if len(which) == 1 else out
 
 
 def _empirical_mgf(values: np.ndarray, probes: tuple[float, ...]) -> dict[float, tuple[float, float]]:
-    """(mean, standard error) of e^(s V) over the values V at each probe s."""
+    """(mean, standard error) of e^(s V) over the values V at each probe s.
+
+    At s = 0 it is (1.0, 0.0) without a pass: every e^(0 V) is 1, and a pass
+    over them returns these two floats exactly.
+    """
     # each probe's exponentials are formed in place, in one buffer
     e = np.empty_like(values)
     out = {}
     for s in probes:
+        if s == 0:
+            out[s] = (1.0, 0.0)
+            continue
         np.exp(np.multiply(s, values, out=e), out=e)
         out[s] = (float(e.mean()), float(e.std(ddof=1) / math.sqrt(len(e))))
     return out

@@ -528,8 +528,9 @@ class TestConditionalClocks:
     N = 200_000
 
     def test_trivial_at_zero(self, rng):
-        stats = clock_conditional_sampler(REF, 1, "A", self.N, rng)
-        assert stats[0.0][0] == pytest.approx(1.0, abs=1e-12)
+        stats = clock_conditional_sampler(REF, 1, "ABUVZ", self.N, rng)
+        for clock in "ABUVZ":
+            assert stats[clock][0.0] == (1.0, 0.0)
 
     @pytest.mark.parametrize("which", ["A", "Z"])
     def test_idle_clocks(self, rng, which):
@@ -581,6 +582,47 @@ class TestOneDrawClocks:
         for which, named in (("ABUVZ", "V"), ("ABUZV", "Z")):
             with pytest.raises(ParameterDomainError, match=f"^clock {named}: only 0 of 10000 draws accepted$"):
                 clock_conditional_sampler(cfg, 1, which, 10_000, np.random.default_rng(0))
+
+    @staticmethod
+    def reference_sampler(cfg, i, which, n, rng):
+        # the sampler as first written: boolean-mask selection, and a full
+        # pass over the values at every probe, s = 0 included
+        lam = cfg.total_rate
+        li = cfg.stream_rate(i)
+        x = rng.exponential(1.0 / li, n)
+        other = lam - li
+        lam_clock = rng.exponential(1.0 / other, n) if other > 0 else np.full(n, np.inf)
+        svc = np.asarray(cfg.service.sample(rng, n), dtype=float)
+        races = {
+            "A": (x, (lam_clock,)),
+            "Z": (lam_clock, (x,)),
+            "B": (x, (svc, lam_clock)),
+            "V": (lam_clock, (svc, x)),
+            "U": (svc, (x, lam_clock)),
+        }
+        out = {}
+        for clock in which:
+            winner, rivals = races[clock]
+            accept = np.logical_and.reduce([winner < rival for rival in rivals])
+            values = winner[accept]
+            out[clock] = {}
+            for s in (0.0, -lam / 3, lam / 4):
+                e = np.exp(s * values)
+                out[clock][s] = (float(e.mean()), float(e.std(ddof=1) / math.sqrt(len(e))))
+        return out[which] if len(which) == 1 else out
+
+    @pytest.mark.parametrize("law", [Exponential(1.0), Gamma(2.0, 0.5), Deterministic(0.5), Uniform(0.2, 1.0)])
+    def test_same_bits_as_the_reference(self, law):
+        cfg = SystemConfig(1.5, self.FIVE, law)
+        for k in range(3):
+            for which in ("ABUVZ", *"ABUVZ"):
+                got = clock_conditional_sampler(cfg, 1, which, 20_000, np.random.default_rng(k))
+                assert got == self.reference_sampler(cfg, 1, which, 20_000, np.random.default_rng(k))
+
+    def test_same_bits_as_the_reference_at_full_size(self):
+        cfg = SystemConfig(1.5, self.FIVE, Gamma(2.0, 0.5))
+        got = clock_conditional_sampler(cfg, 1, "ABUVZ", 200_000, np.random.default_rng(7))
+        assert got == self.reference_sampler(cfg, 1, "ABUVZ", 200_000, np.random.default_rng(7))
 
     @pytest.mark.parametrize("which", ["", "AQ", "q", "AA"])
     def test_clocks_must_be_distinct_known_letters(self, rng, which):
