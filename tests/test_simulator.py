@@ -633,7 +633,8 @@ class TestOneDrawClocks:
         # the three n-float draws stay alive across the clocks, and each
         # clock adds its mask, its accepted values, one exponential buffer
         # and std's temporary: 44 n bytes at this split, against 51 n for
-        # five draws
+        # five draws. np.compress also holds an 8-byte index per accepted
+        # draw while it selects, but frees it before the MGF passes.
         n = 200_000
         cfg = SystemConfig(1.5, self.FIVE, Exponential(1.0))
         # a first small call, so that what numpy allocates once is not counted
