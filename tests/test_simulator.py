@@ -585,8 +585,8 @@ class TestOneDrawClocks:
 
     @staticmethod
     def reference_sampler(cfg, i, which, n, rng):
-        # the sampler as first written: boolean-mask selection, and a full
-        # pass over the values at every probe, s = 0 included
+        # a reference: the same draws and races, boolean-mask selection and
+        # a full pass over the values at every probe, s = 0 included
         lam = cfg.total_rate
         li = cfg.stream_rate(i)
         x = rng.exponential(1.0 / li, n)
