@@ -31,15 +31,22 @@ SERVICES = {
     "gamma": {"type": "gamma", "shape": 2.0, "scale": 0.5},
 }
 SIMULATION = {"max_time": 1e3, "seed": 11, "replications": 2}
+# about 300,000 arrivals a replication at total_rate 1.5: five chunks of the
+# sample path, so the bits carried from chunk to chunk are pinned too. The
+# running sums are added a chunk at a time, so their last bits also pin where
+# the chunks end: on the gamma law, a shift of one arrival changes 5 of the
+# sweep's 24 simulated values (on the uniform law, none).
+LONG_SIMULATION = {**SIMULATION, "max_time": 2e5}
 
 
 def _grid(lo: float, step: float, n: int) -> str:
     return ",".join(f"{lo + k * step:.6g}" for k in range(n))
 
 
-# name -> (service, --param, --grid, with simulated rows)
+# name -> (service, --param, --grid, the simulation section of a sweep with
+# simulated rows, or None)
 SWEEPS = {
-    f"{law}_{name}": (law, param, grid, name == "with_sim")
+    f"{law}_{name}": (law, param, grid, SIMULATION if name == "with_sim" else None)
     for law, field, field_grid in (("uniform", "upper", _grid(0.6, 0.1, 50)), ("gamma", "scale", _grid(0.05, 0.05, 50)))
     for name, param, grid in (
         ("total_rate", "total_rate", _grid(0.1, 0.1, 50)),
@@ -48,6 +55,7 @@ SWEEPS = {
         ("with_sim", "p1", _grid(0.02, 0.02, 49)),
     )
 }
+SWEEPS["gamma_with_long_sim"] = ("gamma", "p1", "0.3,0.6", LONG_SIMULATION)
 
 # (--param, --grid, exit code) on the uniform system; the first bad grid
 # point decides the message
@@ -66,10 +74,10 @@ INVALID_GRIDS = (
 )
 
 
-def _config(tmp_path: Path, law: str, fmt: str, out: Path) -> str:
+def _config(tmp_path: Path, law: str, fmt: str, out: Path, simulation: dict = SIMULATION) -> str:
     config = {
         "system": {"total_rate": 1.5, "stream_probs": [0.6, 0.4], "service": SERVICES[law]},
-        "simulation": SIMULATION,
+        "simulation": simulation,
         "output": {"format": fmt, "path": str(out)},
     }
     path = tmp_path / f"{law}_{fmt}.json"
@@ -78,10 +86,10 @@ def _config(tmp_path: Path, law: str, fmt: str, out: Path) -> str:
 
 
 def _sweep(tmp_path: Path, name: str, fmt: str) -> bytes:
-    law, param, grid, with_sim = SWEEPS[name]
+    law, param, grid, simulation = SWEEPS[name]
     out = tmp_path / f"{name}.{fmt}"
-    argv = ["sweep", "-c", _config(tmp_path, law, fmt, out), "--param", param, "--grid", grid]
-    assert main(argv + ["--with-sim"] * with_sim) == 0
+    argv = ["sweep", "-c", _config(tmp_path, law, fmt, out, simulation or SIMULATION), "--param", param, "--grid", grid]
+    assert main(argv + ["--with-sim"] * (simulation is not None)) == 0
     return out.read_bytes()
 
 

@@ -240,3 +240,35 @@ def test_a_system_the_closed_forms_refuse_is_not_simulated(k, tmp_path, monkeypa
     assert proc.returncode == 3
     err = proc.stderr.decode()
     assert err.startswith("domain error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["validate", "validate_without_simulation", "sweep_p1", "sweep_total_rate"],
+)
+@pytest.mark.parametrize("k", [900, -900])
+def test_a_system_the_closed_forms_refuse_exits_3_from_every_command(k, command, tmp_path):
+    # the same refusal as simulate's, from the commands that read the system
+    # otherwise; a total_rate grid is scaled with the system, since 1,2 at
+    # 2**900 is a valid system
+    config = scaled_config("exponential", k, max_time=2e4)
+    if command == "validate_without_simulation":
+        del config["simulation"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = {
+        "validate": ["validate"],
+        "validate_without_simulation": ["validate"],
+        "sweep_p1": ["sweep", "--param", "p1", "--grid", "0.3,0.5"],
+        "sweep_total_rate": ["sweep", "--param", "total_rate", "--grid", f"{math.ldexp(1.0, k)!r},{math.ldexp(2.0, k)!r}"],
+    }[command]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoi_mg11.cli", argv[0], "-c", str(path), *argv[1:]], capture_output=True, env=env
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert err.startswith("domain error: second_moment_interdeparture is outside the float range"), err
+    assert err.count("\n") == 1, err
+    assert proc.stdout == b""
