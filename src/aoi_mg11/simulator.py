@@ -5,7 +5,7 @@ closed recursive structure: arrival k is delivered iff its service ends by
 arrival k+1, else arrival k+1 preempts it. That lets a replication be
 computed with vectorized numpy instead of an event-by-event loop, with
 identical semantics, in chunks of a fixed number of arrivals: a chunk needs
-only the next arrival and each stream's last delivery, so memory does not
+only its first arrival and each stream's last delivery, so memory does not
 grow with the horizon, and per-stream tallies are running sums.
 
 Arrivals come from one merged exponential(lam) gap stream. Whether an arrival
@@ -87,6 +87,9 @@ class PerStreamTally:
     do; the other sums are in plain units.
     ``mgf_sums`` maps each configured probe s to the sum of e^{sY} over the
     interdeparture gaps Y.
+    ``last_delivery`` and ``last_generation`` carry the stream's last delivery
+    and its update's generation time from chunk to chunk; until ``delivered``,
+    a virtual delivery at the origin starts the age at 0 but opens no gap.
     """
 
     stream: int
@@ -100,6 +103,9 @@ class PerStreamTally:
     y2_sum: float = 0.0
     t_sum: float = 0.0
     mgf_sums: dict[float, float] = field(default_factory=dict)
+    last_delivery: float = 0.0
+    last_generation: float = 0.0
+    delivered: bool = False
 
 
 # Trace kind codes are indices into TRACE_KINDS. A trace block is four columns:
@@ -168,14 +174,12 @@ def _sample_path(
     cfg: SystemConfig,
     size: int,
     carry: float,
-    first: int,
     rng_arrivals: np.random.Generator,
     rng_service: np.random.Generator,
 ):
     """One chunk of the sample path, as far as the tallies and the trace read it.
 
-    The chunk draws size arrival gaps after carry, the arrival carried over
-    from the last chunk (or 0.0 with first = 1: the origin is no arrival), and
+    The chunk draws size arrival gaps after its first arrival, carry, and
     simulates the arrivals before its last one. Returns, in order: that last
     arrival, the next chunk's carry; the arrival times; and the indices of the
     delivered arrivals, with their delivery and service times. The chunk's
@@ -186,11 +190,11 @@ def _sample_path(
     rng_arrivals.standard_exponential(out=times[1:])  # exponential(scale) draws scale times these bits
     times[1:] *= 1.0 / cfg.total_rate
     np.cumsum(times, out=times)
-    arr = times[first:-1]
-    services = np.asarray(cfg.service.sample(rng_service, len(arr)), dtype=float)
+    arr = times[:-1]
+    services = np.asarray(cfg.service.sample(rng_service, size), dtype=float)
     done = arr + services
     # delivered iff service completes by the next arrival (ties: delivered)
-    idx = np.flatnonzero(done <= times[first + 1 :])
+    idx = np.flatnonzero(done <= times[1:])
     return times[-1], arr, idx, done[idx], services[idx]
 
 
@@ -243,41 +247,33 @@ def _trace_block(
 
 
 def _simulate_replication(
-    cfg: SystemConfig,
-    horizon: float,
-    seed_seq: np.random.SeedSequence,
-    warmup_fraction: float,
-    probes: tuple[float, ...],
-    min_deliveries: int | None,
-    sink: TraceSink | None,
+    params: SimParams, horizon: float, seed_seq: np.random.SeedSequence, sink: TraceSink | None
 ) -> tuple[list[PerStreamTally], float]:
-    """One replication on one sample path: its tallies and its horizon. With
-    min_deliveries, the horizon is multiplied by 1.6 on the same path until
+    """One replication on one sample path: its tallies and its horizon. Under
+    the count rule, the horizon is multiplied by 1.6 on the same path until
     every stream has that many deliveries and an interdeparture gap after the
     warm-up, which stays warmup_fraction of the first horizon."""
-    m = cfg.num_streams
+    cfg, probes, min_deliveries = params.cfg, params.mgf_probes, params.min_deliveries_per_stream
     rng_arrivals, rng_service, rng_labels, rng_trace = map(np.random.default_rng, seed_seq.spawn(4))
 
-    t_w = warmup_fraction * horizon
+    t_w = params.warmup_fraction * horizon
     unit = math.ldexp(1.0, max(math.frexp(horizon)[1] - 1, -1022))
-    tallies = [PerStreamTally(j + 1, 0.0, unit, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(m)]
-    # each stream's last delivery (time, generation time); a virtual delivery
-    # at the origin starts the age at 0, but opens no interdeparture gap
-    last = [(0.0, 0.0)] * m
-    delivered_before = [False] * m
+    tallies = [PerStreamTally(j + 1, 0.0, unit, mgf_sums=dict.fromkeys(probes, 0.0)) for j in range(cfg.num_streams)]
     # the trace's last arrival (preempted, stream, time); none precedes the first
     last_arrival = (False, 0, 0.0)
 
     # Each chunk simulates the arrivals before its last one, which is carried
     # into the next chunk as the look-ahead that decides the final delivery.
-    # A horizon that expects fewer arrivals than _CHUNK takes chunks of those
-    # and 10 standard deviations more, so it almost surely takes one.
+    # Chunks end at every size-th arrival: the first starts at the first
+    # arrival, drawn alone, and simulates size - 1. A horizon that expects
+    # fewer arrivals than _CHUNK takes chunks of those and 10 standard
+    # deviations more, so it almost surely takes one.
     expected = cfg.total_rate * horizon
     size = int(min(_CHUNK, expected + 10.0 * math.sqrt(expected) + 100))
-    carry, first = 0.0, 1  # the first chunk has no carried arrival
+    carry, gaps = rng_arrivals.standard_exponential() * (1.0 / cfg.total_rate), size - 1
     while True:
-        carry, arr, idx, d_done, d_services = _sample_path(cfg, size, carry, first, rng_arrivals, rng_service)
-        first = 0
+        carry, arr, idx, d_done, d_services = _sample_path(cfg, gaps, carry, rng_arrivals, rng_service)
+        gaps = size
         d_arr = arr[idx]
         d_label = _labels(rng_labels, cfg.stream_probs, len(idx))
         # the chunk's deliveries up to the horizon, in slices: past the
@@ -285,7 +281,7 @@ def _simulate_replication(
         lo = 0
         while True:
             hi = int(np.searchsorted(d_done, horizon, side="right"))
-            _tally(tallies, last, delivered_before, t_w, d_done[lo:hi], d_arr[lo:hi], d_services[lo:hi], d_label[lo:hi])
+            _tally(tallies, t_w, d_done[lo:hi], d_arr[lo:hi], d_services[lo:hi], d_label[lo:hi])
             lo = hi
             if carry <= horizon or min_deliveries is None or all(
                 t.peaks_count and t.deliveries >= min_deliveries for t in tallies
@@ -297,16 +293,23 @@ def _simulate_replication(
         if carry > horizon:
             break
 
-    for t, (last_td, last_gen) in zip(tallies, last):
+    # the age after each stream's last delivery, to the horizon
+    for t in tallies:
         t.elapsed = horizon - t_w
-        tail0 = max(last_td, t_w)
-        tail_w = (horizon - tail0) / unit
-        if tail_w > 0:
-            t.age_area += tail_w * ((tail0 - last_gen) / unit) + 0.5 * tail_w * tail_w
+        t.age_area += float(_age_area(t, t_w, t.last_delivery, t.last_generation, horizon))
     return tallies, horizon
 
 
-def _tally(tallies, last, delivered_before, t_w, d_done, d_arr, d_services, d_label) -> None:
+def _age_area(t: PerStreamTally, t_w: float, prev_td, prev_gen, t_d):
+    """The age's exact area from each delivery prev_td, of an update generated
+    at prev_gen, to t_d, in units of t.unit**2 (exact: a power of two); a
+    segment that straddles the warm-up's end t_w is clipped there."""
+    x0 = np.maximum(prev_td, t_w)
+    width = (t_d - x0) / t.unit
+    return width * ((x0 - prev_gen) / t.unit) + 0.5 * width * width
+
+
+def _tally(tallies, t_w, d_done, d_arr, d_services, d_label) -> None:
     """Add deliveries, in time order, to the running sums of their streams;
     the arrays of each stream are freed on return."""
     for j, t in enumerate(tallies):
@@ -314,22 +317,17 @@ def _tally(tallies, last, delivered_before, t_w, d_done, d_arr, d_services, d_la
         if not len(sel):
             continue
         t_d, gen, svc = d_done[sel], d_arr[sel], d_services[sel]
-        prev_td = np.concatenate(([last[j][0]], t_d[:-1]))
-        prev_gen = np.concatenate(([last[j][1]], gen[:-1]))
-        has_pred = delivered_before[j]
-        last[j], delivered_before[j] = (float(t_d[-1]), float(gen[-1])), True
+        prev_td = np.concatenate(([t.last_delivery], t_d[:-1]))
+        prev_gen = np.concatenate(([t.last_generation], gen[:-1]))
+        has_pred = t.delivered
+        t.last_delivery, t.last_generation, t.delivered = float(t_d[-1]), float(gen[-1]), True
 
         # delivery times increase, so the post-warm-up ones are a suffix
         k = int(np.searchsorted(t_d, t_w))
         if k == len(t_d):
             continue
         t_d, prev_td, prev_gen, svc = t_d[k:], prev_td[k:], prev_gen[k:], svc[k:]
-        # exact sawtooth area, in units of t.unit**2; segments straddling the
-        # warm-up boundary are clipped at t_w
-        scale = 1.0 / t.unit  # exact: a power of two
-        x0 = np.maximum(prev_td, t_w)
-        width = (t_d - x0) * scale
-        t.age_area += float(np.sum(width * ((x0 - prev_gen) * scale) + 0.5 * width * width))
+        t.age_area += float(np.sum(_age_area(t, t_w, prev_td, prev_gen, t_d)))
         t.deliveries += len(t_d)
         t.t_sum += float(svc.sum())
 
@@ -340,7 +338,7 @@ def _tally(tallies, last, delivered_before, t_w, d_done, d_arr, d_services, d_la
         t.peaks_sum += float(np.sum(t_d - prev_gen))
         t.peaks_count += len(ys)
         t.y_sum += float(ys.sum())
-        ys_unit = ys * scale
+        ys_unit = ys / t.unit
         t.y2_sum += float(np.sum(ys_unit * ys_unit))
         for s, total in t.mgf_sums.items():
             t.mgf_sums[s] = total + float(np.exp(s * ys).sum())
@@ -397,15 +395,7 @@ def run(params: SimParams, trace: TraceSink | None = None) -> SimResult:
     all_tallies: list[tuple[PerStreamTally, ...]] = []
     horizons: list[float] = []
     for r, seed_seq in enumerate(np.random.SeedSequence(params.seed).spawn(reps)):
-        tallies, horizon = _simulate_replication(
-            cfg,
-            start,
-            seed_seq,
-            params.warmup_fraction,
-            params.mgf_probes,
-            params.min_deliveries_per_stream,
-            trace if r == 0 else None,
-        )
+        tallies, horizon = _simulate_replication(params, start, seed_seq, trace if r == 0 else None)
         gapless = [t.stream for t in tallies if not t.peaks_count]
         if gapless:
             raise InsufficientDataError(

@@ -258,23 +258,37 @@ class TestLabelLaw:
         # extends it on the same path until each stream has 50 deliveries
         cfg = SystemConfig(1.5, (1.0 / m,) * m, Exponential(1.0))
         sink = (lambda block: None) if traced else None
-        for min_deliveries, extends in ((None, False), (50, True)):
+        for rule, extends in (({"max_time": 50.0}, False), ({"min_deliveries_per_stream": 50}, True)):
             seed_seq = np.random.SeedSequence(3)
-            _, horizon = simulator._simulate_replication(cfg, 50.0, seed_seq, 0.0, (), min_deliveries, sink)
+            params = SimParams(cfg, warmup_fraction=0.0, **rule)
+            _, horizon = simulator._simulate_replication(params, 50.0, seed_seq, sink)
             assert (horizon > 50.0) == extends
             assert seed_seq.n_children_spawned == 4
 
 
 class TestSamplePath:
-    @pytest.mark.parametrize("carry, first", [(0.0, 1), (3.25, 0)], ids=["origin", "carried"])
-    def test_arrival_times_are_the_cumulated_exponential_gaps(self, carry, first):
+    @pytest.mark.parametrize("carry", [0.0, 3.25], ids=["origin", "carried"])
+    def test_arrival_times_are_the_cumulated_exponential_gaps(self, carry):
         # the gaps drawn in place are rng.exponential(1 / lam)'s bits
         size, cfg = 10_000, SystemConfig(1.7, (0.5, 0.3, 0.2), Exponential(1.0))
         rng_arrivals = np.random.default_rng(4)
-        last, arr, *_ = simulator._sample_path(cfg, size, carry, first, rng_arrivals, np.random.default_rng(5))
+        last, arr, *_ = simulator._sample_path(cfg, size, carry, rng_arrivals, np.random.default_rng(5))
         reference = np.random.default_rng(4)
         times = np.cumsum(np.concatenate(([carry], reference.exponential(1 / cfg.total_rate, size))))
-        assert np.array_equal(arr, times[first:-1])
+        assert np.array_equal(arr, times[:-1])
+        assert last == times[-1]
+        assert rng_arrivals.random() == reference.random()
+
+    def test_the_first_arrival_drawn_alone_is_the_first_gap(self):
+        # a replication draws its first arrival before its first chunk; the
+        # arrivals are those of size + 1 gaps cumulated from the origin
+        size, cfg = 10_000, SystemConfig(1.7, (0.5, 0.3, 0.2), Exponential(1.0))
+        rng_arrivals = np.random.default_rng(4)
+        first = rng_arrivals.standard_exponential() * (1.0 / cfg.total_rate)
+        last, arr, *_ = simulator._sample_path(cfg, size, first, rng_arrivals, np.random.default_rng(5))
+        reference = np.random.default_rng(4)
+        times = np.cumsum(reference.exponential(1 / cfg.total_rate, size + 1))
+        assert np.array_equal(arr, times[:-1])
         assert last == times[-1]
         assert rng_arrivals.random() == reference.random()
 
