@@ -137,7 +137,7 @@ def priority_frontier(
     probs = np.empty((len(grid), m))
     g = np.array(grid, dtype=float)
     probs[:, i - 1] = g
-    probs[:, [j for j in range(m) if j != i - 1]] = (1.0 - g)[:, None] * (1.0 / (m - 1))
+    probs[:, [j for j in range(m) if j != i - 1]] = ((1.0 - g) / (m - 1))[:, None]
     columns = _checked_columns(lam, dist, probs)
     rows = list(zip(grid, columns["avg_age"][:, i - 1].tolist(), columns["total_avg_age"].tolist()))
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from aoi_mg11 import optimizer
+from aoi_mg11 import cli, optimizer
 from aoi_mg11.analytic import SystemConfig, avg_age
 from aoi_mg11.cli import main
 from aoi_mg11.distributions import Deterministic, Exponential, Gamma, Uniform
@@ -175,6 +175,17 @@ class TestPriorityFrontier:
         with pytest.raises(InvariantViolationError) as info:
             priority_frontier(1.5, 3, Exponential(1.0), 1, grid[::-1])
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("i", [1, 3])
+    def test_rows_are_the_sweeps(self, i):
+        # the other streams share 1 - p_i as sweep --param p<i> shares it, so
+        # the library's values are the CLI's; m - 1 = 7 is no power of two
+        lam, dist, m = 1.05, Uniform(0.2, 1.0), 8
+        grid = np.linspace(0.02, 0.92, 4000).tolist()
+        rows = priority_frontier(lam, m, dist, i, tuple(grid))
+        *_, columns = cli._sweep_block(SystemConfig(lam, (1.0 / m,) * m, dist), f"p{i}", grid)
+        assert [r[1] for r in rows] == columns["avg_age"][:, i - 1].tolist()
+        assert [r[2] for r in rows] == columns["total_avg_age"].tolist()
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterDomainError):
