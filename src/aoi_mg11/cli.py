@@ -490,8 +490,14 @@ def _trace_writer(fh, num_streams: int) -> simulator.TraceSink:
 
 def _run_validation(run_cfg: RunConfig, seed_override: int | None):
     """The full oracle battery; returns a list of check dicts."""
-    cfg = run_cfg.system
+    cfg, sim_settings = run_cfg.system, run_cfg.simulation
     checks: list[dict] = []
+    if sim_settings is not None and sim_settings.replications < 2:
+        # with one, each simulation check's tolerance is its 1-1.5% relative term alone
+        raise ConfigError(
+            f"validate needs simulation.replications >= 2, got {sim_settings.replications}: "
+            "its simulation checks allow for the standard error across replications"
+        )
 
     def add(name, observed, expected, tol):
         delta = abs(observed - expected)
@@ -558,7 +564,6 @@ def _run_validation(run_cfg: RunConfig, seed_override: int | None):
     add("dual_route_decomposition", 0.0, 0.0, 1e-9)
 
     # Monte Carlo conditional clocks vs closed-form MGFs (5 sigma)
-    sim_settings = run_cfg.simulation
     mc_seed = seed_override if seed_override is not None else (sim_settings.seed if sim_settings else 0)
     rng = np.random.default_rng(np.random.SeedSequence(mc_seed).spawn(1)[0])
     clock_refs = {

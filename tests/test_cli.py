@@ -507,6 +507,18 @@ class TestValidate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report_dir"]
         assert list(report.iterdir()) == []
 
+    def test_one_replication_is_refused(self, tmp_path, capsys):
+        # with no standard error, each simulation check's tolerance is its
+        # 1-1.5% relative term alone, which a correct simulator of this
+        # system fails at every AOI_SEED from 1 to 20
+        report = tmp_path / "report.json"
+        simulation = {"max_time": 2e4, "seed": 1}
+        cfg = write_config(tmp_path, system=REF_SYSTEM, simulation=simulation, output={"format": "json", "path": str(report)})
+        assert main(["validate", "-c", cfg]) == 2
+        message = "config error: validate needs simulation.replications >= 2, got 1: its simulation checks allow"
+        assert capsys.readouterr() == ("", message + " for the standard error across replications\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_positive_probe_rejected(self, tmp_path, capsys):
         cfg = self.validate_cfg(tmp_path, probes=(0.9 * 1.5,))
         assert main(["validate", "-c", cfg]) == 2
@@ -602,7 +614,8 @@ def test_validate_gamma_of_small_shape(tmp_path, shape):
 def test_insufficient_data_exit_code(tmp_path, capsys):
     # a horizon of 10 leaves stream 2 no interdeparture gap after warm-up to estimate its ages from
     out = tmp_path / "out.csv"
-    cfg = write_config(tmp_path, system=REF_SYSTEM, simulation={"max_time": 10, "seed": 7}, output={"path": str(out)})
+    simulation = {"max_time": 10, "seed": 7, "replications": 2}  # validate refuses one replication
+    cfg = write_config(tmp_path, system=REF_SYSTEM, simulation=simulation, output={"path": str(out)})
     for command, *flags in (["simulate"], ["validate"], ["sweep", "--param", "total_rate", "--grid", "1.5", "--with-sim"]):
         assert main([command, "-c", cfg, *flags]) == 4
         err = capsys.readouterr().err
