@@ -251,8 +251,8 @@ def _simulate_replication(
 ) -> tuple[list[PerStreamTally], float]:
     """One replication on one sample path: its tallies and its horizon. Under
     the count rule, the horizon is multiplied by 1.6 on the same path until
-    every stream has that many deliveries and an interdeparture gap after the
-    warm-up, which stays warmup_fraction of the first horizon."""
+    every stream has min_deliveries_per_stream deliveries and an interdeparture
+    gap after the warm-up, which stays warmup_fraction of the first horizon."""
     cfg, probes, min_deliveries = params.cfg, params.mgf_probes, params.min_deliveries_per_stream
     rng_arrivals, rng_service, rng_labels, rng_trace = map(np.random.default_rng, seed_seq.spawn(4))
 
