@@ -244,29 +244,29 @@ def test_a_system_the_closed_forms_refuse_is_not_simulated(k, tmp_path, monkeypa
 
 @pytest.mark.parametrize(
     "command",
-    ["validate", "validate_without_simulation", "sweep_p1", "sweep_total_rate"],
+    ["validate", "validate_without_simulation", "sweep_p1", "sweep_total_rate", "optimize"],
 )
 @pytest.mark.parametrize("k", [900, -900])
 def test_a_system_the_closed_forms_refuse_exits_3_from_every_command(k, command, tmp_path):
     # the same refusal as simulate's, from the commands that read the system
     # otherwise; a total_rate grid is scaled with the system, since 1,2 at
-    # 2**900 is a valid system
+    # 2**900 is a valid system, and optimize reads the system from its flags
     config = scaled_config("exponential", k, max_time=2e4)
     if command == "validate_without_simulation":
         del config["simulation"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    rates = [f"{math.ldexp(1.0, k)!r}", f"{math.ldexp(1.5, k)!r}", f"{math.ldexp(2.0, k)!r}"]
     argv = {
-        "validate": ["validate"],
-        "validate_without_simulation": ["validate"],
-        "sweep_p1": ["sweep", "--param", "p1", "--grid", "0.3,0.5"],
-        "sweep_total_rate": ["sweep", "--param", "total_rate", "--grid", f"{math.ldexp(1.0, k)!r},{math.ldexp(2.0, k)!r}"],
+        "validate": ["validate", "-c", str(path)],
+        "validate_without_simulation": ["validate", "-c", str(path)],
+        "sweep_p1": ["sweep", "-c", str(path), "--param", "p1", "--grid", "0.3,0.5"],
+        "sweep_total_rate": ["sweep", "-c", str(path), "--param", "total_rate", "--grid", f"{rates[0]},{rates[2]}"],
+        "optimize": ["optimize", "--rate", rates[1], "--streams", "3", "--service", "exponential", "--service-rate", rates[0]],
     }[command]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "aoi_mg11.cli", argv[0], "-c", str(path), *argv[1:]], capture_output=True, env=env
-    )
+    proc = subprocess.run([sys.executable, "-m", "aoi_mg11.cli", *argv], capture_output=True, env=env)
     err = proc.stderr.decode()
     assert proc.returncode == 3, err
     assert err.startswith("domain error: second_moment_interdeparture is outside the float range"), err
