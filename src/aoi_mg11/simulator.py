@@ -264,10 +264,10 @@ def _simulate_replication(
 
     # Each chunk simulates the arrivals before its last one, which is carried
     # into the next chunk as the look-ahead that decides the final delivery.
-    # Chunks end at every size-th arrival: the first starts at the first
-    # arrival, drawn alone, and simulates size - 1. A horizon that expects
-    # fewer arrivals than _CHUNK takes chunks of those and 10 standard
-    # deviations more, so it almost surely takes one.
+    # The first, from the first arrival, drawn alone, simulates size - 1, so
+    # chunks end at every size-th arrival, which fixes the sums' last bits.
+    # A horizon that expects fewer arrivals than _CHUNK takes chunks of those
+    # and 10 standard deviations more, so it almost surely takes one.
     expected = cfg.total_rate * horizon
     size = int(min(_CHUNK, expected + 10.0 * math.sqrt(expected) + 100))
     carry, gaps = rng_arrivals.standard_exponential() * (1.0 / cfg.total_rate), size - 1
