@@ -16,11 +16,20 @@ event trace labels the undelivered arrivals from a substream of its own, so a
 traced run's statistics equal an untraced run's. The trace is laid out in
 the order events happen, so it needs no sort; it is handed on a chunk at a
 time, so it takes no more memory than the chunk.
+
+Each chunk's sample path is drawn on a helper thread while the calling
+thread labels, tallies and traces the chunk before it, and only a chunk the
+replication reads is drawn. The helper alone draws from the arrival and
+service substreams, and the caller alone from the two label substreams, so
+each generator draws what it would on one thread, in the same order, and
+every output byte is the same.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -198,6 +207,50 @@ def _sample_path(
     return times[-1], arr, idx, done[idx], services[idx]
 
 
+class _Ahead:
+    """A helper thread that draws a replication's chunks while the caller
+    tallies the one before: draw(size, carry) starts _sample_path(cfg, size,
+    carry, rng_arrivals, rng_service), result() waits for the chunk and
+    returns it, or raises what the draw raised, and close() waits for a draw
+    in flight and ends the thread. The draws run in a copy of the caller's
+    context, so under its np.errstate."""
+
+    def __init__(self, cfg: SystemConfig, rng_arrivals: np.random.Generator, rng_service: np.random.Generator):
+        self._args, self._job, self._out = (cfg, rng_arrivals, rng_service), None, None
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._thread = threading.Thread(target=contextvars.copy_context().run, args=(self._serve,), daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        cfg, rng_arrivals, rng_service = self._args
+        while self._go.acquire() and self._job is not None:  # close() leaves no job
+            try:
+                self._out = _sample_path(cfg, *self._job, rng_arrivals, rng_service)
+            except BaseException as exc:
+                self._out = exc
+            self._done.release()
+
+    def draw(self, size: int, carry: float) -> None:
+        self._job = (size, carry)
+        self._go.release()
+
+    def result(self):
+        self._done.acquire()
+        out, self._job, self._out = self._out, None, None
+        if isinstance(out, BaseException):
+            raise out
+        return out
+
+    def close(self) -> None:
+        if self._job is not None:  # the caller failed while a chunk was drawn
+            self._done.acquire()
+            self._job = None
+        self._go.release()
+        self._thread.join()
+
+
 def _trace_block(
     sink: TraceSink,
     last: tuple[bool, int, float],
@@ -270,28 +323,38 @@ def _simulate_replication(
     # and 10 standard deviations more, so it almost surely takes one.
     expected = cfg.total_rate * horizon
     size = int(min(_CHUNK, expected + 10.0 * math.sqrt(expected) + 100))
-    carry, gaps = rng_arrivals.standard_exponential() * (1.0 / cfg.total_rate), size - 1
-    while True:
-        carry, arr, idx, d_done, d_services = _sample_path(cfg, gaps, carry, rng_arrivals, rng_service)
-        gaps = size
-        d_arr = arr[idx]
-        d_label = _labels(rng_labels, cfg.stream_probs, len(idx))
-        # the chunk's deliveries up to the horizon, in slices: past the
-        # carried arrival, a short replication extends its horizon and goes on
-        lo = 0
+    carry = rng_arrivals.standard_exponential() * (1.0 / cfg.total_rate)
+    ahead = _Ahead(cfg, rng_arrivals, rng_service)
+    try:
+        ahead.draw(size - 1, carry)
         while True:
-            hi = int(np.searchsorted(d_done, horizon, side="right"))
-            _tally(tallies, t_w, d_done[lo:hi], d_arr[lo:hi], d_services[lo:hi], d_label[lo:hi])
-            lo = hi
-            if carry <= horizon or min_deliveries is None or all(
-                t.peaks_count and t.deliveries >= min_deliveries for t in tallies
-            ):
+            carry, arr, idx, d_done, d_services = ahead.result()
+            # the next chunk is drawn while this one is tallied, if the
+            # replication reads it: if it starts inside the horizon
+            if carry <= horizon:
+                ahead.draw(size, carry)
+            d_arr = arr[idx]
+            d_label = _labels(rng_labels, cfg.stream_probs, len(idx))
+            # the chunk's deliveries up to the horizon, in slices: past the
+            # carried arrival, a short replication extends its horizon and goes on
+            lo = 0
+            while True:
+                hi = int(np.searchsorted(d_done, horizon, side="right"))
+                _tally(tallies, t_w, d_done[lo:hi], d_arr[lo:hi], d_services[lo:hi], d_label[lo:hi])
+                lo = hi
+                if carry <= horizon or min_deliveries is None or all(
+                    t.peaks_count and t.deliveries >= min_deliveries for t in tallies
+                ):
+                    break
+                horizon *= 1.6
+                if carry <= horizon:
+                    ahead.draw(size, carry)
+            if sink is not None:
+                last_arrival = _trace_block(sink, last_arrival, rng_trace, cfg.stream_probs, arr, idx, d_label, d_done, horizon)
+            if carry > horizon:
                 break
-            horizon *= 1.6
-        if sink is not None:
-            last_arrival = _trace_block(sink, last_arrival, rng_trace, cfg.stream_probs, arr, idx, d_label, d_done, horizon)
-        if carry > horizon:
-            break
+    finally:
+        ahead.close()
 
     # the age after each stream's last delivery, to the horizon
     for t in tallies:
@@ -364,13 +427,14 @@ def _tally_metrics(t: PerStreamTally) -> dict[str, float]:
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
     """Mean across replications, with its standard error (0 for one replication).
-    std squares the values scaled by the power of two that brings the largest
-    into [0.5, 1), and the error is scaled back: exact, so the error is in the
-    float range wherever it is itself."""
-    vals = np.array(values)
-    m = np.frexp(np.max(np.abs(vals)))[1]
-    se = float(np.ldexp(np.ldexp(vals, -m).std(ddof=1), m) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se
+    Both are taken of the values scaled by the power of two that brings the
+    largest into [0.5, 1), so that neither the sum nor the squares leave the
+    float range, and scaled back: exact, so each is in the float range
+    wherever it is itself."""
+    m = np.frexp(np.max(np.abs(values)))[1]
+    scaled = np.ldexp(values, -m)
+    se = float(np.ldexp(scaled.std(ddof=1), m) / math.sqrt(len(scaled))) if len(scaled) > 1 else 0.0
+    return float(np.ldexp(scaled.mean(), m)), se
 
 
 def run(params: SimParams, trace: TraceSink | None = None) -> SimResult:

@@ -205,11 +205,13 @@ def unscaled_run():
     return _scaled_run(0)
 
 
-@pytest.mark.parametrize("k", [270, -270, 400, -400, 505, -505])
+@pytest.mark.parametrize("k", [270, -270, 400, -400, 505, -505, 508, -508])
 def test_standard_errors_are_scale_free(k, unscaled_run):
     # at 2**270 the squares of E[Y^2]'s replication values underflow, and at
     # 2**-270 they overflow; at 2**-505 the running sums of squared times
-    # would overflow, were they not kept in units of the horizon
+    # would overflow, were they not kept in units of the horizon; at 2**-508
+    # so would the sum of E[Y^2]'s three replication values, about 9.7e307
+    # each, were it not taken of the values scaled as their squares are
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = _scaled_run(k)
@@ -240,6 +242,28 @@ def test_a_system_the_closed_forms_refuse_is_not_simulated(k, tmp_path, monkeypa
     assert proc.returncode == 3
     err = proc.stderr.decode()
     assert err.startswith("domain error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("k", [sign * k for k in range(500, 523) for sign in (1, -1)])
+def test_simulate_across_its_exit_3_boundary(k, tmp_path, capsys):
+    # E[Y^2] passes 1.8e308 between 2**-508 and 2**-509: below it simulate
+    # writes a table of finite cells and nothing on stderr, from there on it
+    # exits 3 with one stderr line; on neither side a traceback or a warning
+    table = tmp_path / "table.json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scaled_config("exponential", k, max_time=2e4, path=str(table))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "-c", str(path)])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert code == (3 if k <= -509 else 0)
+    if code == 0:
+        assert err == ""
+        cells = [v for row in json.loads(table.read_text())["rows"] for v in row.values()]
+        assert all(math.isfinite(v) for v in cells)
+    else:
+        assert err.startswith("domain error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -453,6 +456,93 @@ class TestChunkedReplication:
         # the trace is handed to its sink a chunk at a time, and not kept
         drop = lambda block: None  # noqa: E731
         assert peak(2e6, drop) <= 2.0 * peak(2e5, drop)
+
+
+class TestDrawAhead:
+    """Each chunk's sample path is drawn on a helper thread while the caller
+    tallies the chunk before it."""
+
+    SYSTEM = {"total_rate": 1.5, "stream_probs": [0.5, 0.3, 0.2], "service": REF.service.to_config()}
+
+    # law.sample's sizes at _CHUNK = 777 are a sequential run's: one draw
+    # per chunk that the replication reads
+    @pytest.mark.parametrize(
+        "changes, horizons, sizes",
+        [
+            ({"max_time": 2000.0, "replications": 2}, (2000.0, 2000.0), [776, 777, 777, 777] * 2),
+            # extends from 866.67 past the second chunk, whose last arrival
+            # lay past the first horizon: the extension starts the third draw
+            ({"min_deliveries_per_stream": 8, "warmup_fraction": 0.9, "seed": 4}, (1386.666666666667,), [776, 777, 777]),
+            ({"max_time": 200.0}, (200.0,), [572]),
+        ],
+        ids=["time", "count-extends", "one-chunk"],
+    )
+    def test_it_draws_no_chunk_the_sequential_loop_did_not(self, monkeypatch, changes, horizons, sizes):
+        monkeypatch.setattr(simulator, "_CHUNK", 777)
+        drawn = []
+        sample = Exponential.sample
+        monkeypatch.setattr(Exponential, "sample", lambda law, rng, size: drawn.append(size) or sample(law, rng, size))
+        assert run(SimParams(REF, **{"seed": 1, **changes})).horizons == horizons
+        assert drawn == sizes
+
+    def test_the_draw_runs_off_the_caller_under_its_errstate(self, monkeypatch):
+        seen = []
+        sample_path = simulator._sample_path
+
+        def recording(*args):
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            return sample_path(*args)
+
+        monkeypatch.setattr(simulator, "_CHUNK", 777)
+        monkeypatch.setattr(simulator, "_sample_path", recording)
+        with np.errstate(over="raise"):
+            run(SimParams(REF, max_time=2000.0, seed=1))
+        assert len(seen) == 4
+        assert all(ident != threading.get_ident() and over == "raise" for ident, over in seen)
+
+    def test_run_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK", 777)
+        threads = threading.active_count()
+        run(SimParams(REF, max_time=2000.0, seed=1, replications=2))
+        assert threading.active_count() == threads
+
+    def test_a_failing_trace_sink_leaves_no_thread(self, tmp_path, monkeypatch, capsys):
+        # the sink fails on the first chunk, while the second is drawn
+        def writer(fh, num_streams):
+            def write(block):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            return write
+
+        monkeypatch.setattr(simulator, "_CHUNK", 777)
+        monkeypatch.setattr(cli, "_trace_writer", writer)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"system": self.SYSTEM, "simulation": {"max_time": 2000.0, "seed": 1}}))
+        threads = threading.active_count()
+        assert cli.main(["simulate", "-c", str(config), "--trace", str(tmp_path / "trace.csv")]) == 2
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err.startswith("config error: cannot write ")
+
+    @pytest.mark.parametrize("name, call", [("_sample_path", 2), ("_labels", 1)], ids=["helper", "caller"])
+    def test_an_error_on_the_helper_is_reported_as_one_on_the_caller(self, tmp_path, monkeypatch, capsys, name, call):
+        # the second chunk's draw fails on the helper, or the first chunk's
+        # labels on the caller: the same exit code and stderr line
+        fn, calls = getattr(simulator, name), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise ParameterDomainError("the draw failed")
+            return fn(*args)
+
+        monkeypatch.setattr(simulator, "_CHUNK", 777)
+        monkeypatch.setattr(simulator, name, failing)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"system": self.SYSTEM, "simulation": {"max_time": 2000.0, "seed": 1}}))
+        threads = threading.active_count()
+        assert cli.main(["simulate", "-c", str(config)]) == 3
+        assert threading.active_count() == threads
+        assert capsys.readouterr() == ("", "domain error: the draw failed\n")
 
 
 def event_loop_trace(params: SimParams, horizon: float) -> list[tuple]:
